@@ -1,19 +1,32 @@
-"""Convex hull membership certificates, in a complex slice when the zero
-configuration allows it and in the full 4-dimensional space otherwise."""
+"""Convex hull membership certificates for the zero sets of quaternionic
+polynomials.
+
+A zero set is a finite union of points and 2-spheres [x + Iy]. When
+every isolated zero is real, the hull meets the slice through the query
+in the planar hull of the real zeros and the sphere traces x +- Iy, and
+the question is exact planar geometry. Otherwise the hull is a
+4-dimensional body, and the query goes to an exact minimum-norm-point
+kernel: the Gilbert-Johnson-Keerthi distance algorithm (IEEE J. Robot.
+Autom. 4(2), 1988) over the closed-form support map of points and
+spheres, with Wolfe's minor cycle (Math. Prog. 11, 1976) as the distance
+subalgorithm on at most five support points. No sphere is sampled."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
-from .quaternion import I as UNIT_I, Quaternion, imag_unit
-from .roots import ZeroSet
+from .quaternion import I as UNIT_I, Quaternion, TwoSphere, imag_unit
+from .roots import NumericalBreakdown, ZeroSet
 
 EPS_HULL = 1e-8
-_SPHERE_SAMPLES = 200
+# a 4-d Outside distance is exact to _GAP_REL times the scale of the
+# problem, 1 plus the largest modulus among the query and the zero set
+_GAP_REL = 1e-10
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -51,9 +64,13 @@ class Outside:
     On the slice route the distance is exact: projecting H orthogonally
     onto the query's slice maps each zero sphere onto the segment
     between its two trace points, so the planar distance equals the
-    distance in H. On the 4-d route it is the gap left by the best
-    convex combination found over the sampled points, only an upper
-    bound on the true distance."""
+    distance in H. On the 4-d route it is the distance to a point of
+    the hull, and a separating plane farther than the collar bounds the
+    true distance from below to within 1e-10 times 1 plus the largest
+    modulus among the query and the zero set. Where the distance is
+    many orders of magnitude below that scale, rounding in the plane's
+    direction can keep the two bounds further apart; the verdict is
+    still proven by the plane."""
 
     distance: float
 
@@ -163,6 +180,150 @@ def _fan_certificate(z: complex, pts: list[complex], hull: list[int]):
 
 
 # ---------------------------------------------------------------------------
+# exact 4-d machinery
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def _affine_min(verts: np.ndarray) -> np.ndarray:
+    """Weights, summing to 1, of the point of the affine hull of the
+    rows of verts nearest the origin. Least squares on the differences
+    from the first row keeps that point accurate when rows nearly
+    coincide, as support points on a sphere do near convergence."""
+    if len(verts) == 1:
+        return np.ones(1)
+    base = verts[0]
+    mu = np.linalg.lstsq((verts[1:] - base).T, -base, rcond=None)[0]
+    return np.concatenate(([1.0 - mu.sum()], mu))
+
+
+def _nearest_face(verts: np.ndarray, lam: np.ndarray):
+    """Wolfe's minor cycle (Math. Prog. 11, 1976): from weights lam of
+    a point of conv(verts), move toward the nearest point of the affine
+    hull of the remaining vertices until a weight reaches zero, and drop
+    that vertex, until the nearest point of the affine hull has positive
+    weights. It is then the nearest point of conv(verts), and in exact
+    arithmetic the remaining vertices are affinely independent, at most
+    five in R^4. Returns the indices kept and their weights."""
+    keep = np.arange(len(verts))
+    while True:
+        mu = _affine_min(verts[keep])
+        if mu.min() > 0.0:
+            return keep, mu
+        down = np.flatnonzero(mu <= 0.0)
+        den = lam[down] - mu[down]          # >= 0, as lam >= 0 >= mu
+        ratios = np.divide(lam[down], den, out=np.zeros_like(den),
+                           where=den > 0.0)
+        i = int(np.argmin(ratios))
+        lam = lam + ratios[i] * (mu - lam)
+        alive = lam > 0.0
+        alive[down[i]] = False
+        keep, lam = keep[alive], lam[alive] / lam[alive].sum()
+
+
+def _sphere_support(s: TwoSphere, d) -> Quaternion:
+    """Point of the sphere [x + Iy] minimizing <d, .>: x - y d_v / |d_v|,
+    where d_v is the imaginary part of d; any point when d_v = 0."""
+    nv = math.sqrt(d[1] * d[1] + d[2] * d[2] + d[3] * d[3])
+    if nv == 0.0:
+        return s.representative(UNIT_I)
+    return s.representative(Quaternion(0.0, -d[1] / nv, -d[2] / nv,
+                                       -d[3] / nv))
+
+
+def _membership(q: Quaternion, points: list[Quaternion],
+                spheres: list[TwoSphere], eps_hull: float):
+    """Membership of q in the hull of points and 2-spheres, by the
+    Gilbert-Johnson-Keerthi iteration on the zero set translated by -q:
+    each step adds the support point in the direction of the current
+    nearest point x and lets Wolfe's minor cycle keep the face of the
+    simplex nearest the origin, at most five points. |x| bounds the
+    distance from above and the supporting plane <x, .> = <x, w> from
+    below, so a verdict is returned only when the bracket settles it:
+    a certificate once the combination, recomputed in the original
+    coordinates, is within the collar, and Outside once the lower bound
+    exceeds the collar and the bracket has closed to the stated gap, or
+    as far as double precision lets it close."""
+    eps = eps_hull * (1.0 + q.norm())
+    scale = 1.0 + max([q.norm()] + [p.norm() for p in points]
+                      + [math.hypot(s.x, s.y) for s in spheres])
+    gap = _GAP_REL * scale
+
+    def shifted(p: Quaternion) -> tuple:
+        return (p.w - q.w, p.x - q.x, p.y - q.y, p.z - q.z)
+
+    rel = [shifted(p) for p in points]
+    rel_arr = np.array(rel).reshape(-1, 4)
+
+    def support(d):
+        """Hull point minimizing <d, .>, shifted and original."""
+        best = None
+        if rel:
+            vals = rel_arr @ d
+            i = int(np.argmin(vals))
+            best = (float(vals[i]), rel[i], points[i])
+        for s in spheres:
+            p = _sphere_support(s, d)
+            t = shifted(p)
+            val = _dot(d, t)
+            if best is None or val < best[0]:
+                best = (val, t, p)
+        return np.array(best[1]), best[2]
+
+    # start from the generator nearest the query: on a sphere that is
+    # the support point in the direction of the shifted centre
+    starts = [(rel[i], points[i]) for i in range(len(rel))]
+    for s in spheres:
+        p = _sphere_support(s, (0.0, -q.x, -q.y, -q.z))
+        starts.append((shifted(p), p))
+    start = min(starts, key=lambda st: _dot(st[0], st[0]))
+    verts, origs = np.array([start[0]]), [start[1]]
+    weights = np.ones(1)
+    x = verts[0]
+    nn = float(x @ x)
+    lower = -math.inf
+    for _ in range(_MAX_ITER):
+        upper = math.sqrt(nn)
+        if upper <= eps:
+            cert = HullCertificate(tuple(origs),
+                                   tuple(float(w) for w in weights), 0.0)
+            slack = (cert.combination() - q).norm()
+            if slack <= eps:
+                return dataclasses.replace(cert, slack=slack)
+        w, orig = support(x)
+        if upper > 0.0:
+            lower = max(lower, float(x @ w) / upper)
+        if lower > eps and upper - lower <= gap:
+            return Outside(upper)
+        if len(verts) == 5:
+            break       # a full simplex: x is at the origin up to rounding
+        cand = np.vstack([verts, w])
+        keep, lam = _nearest_face(cand, np.append(weights, 0.0))
+        face = cand[keep]
+        x_new = lam @ face
+        if len(keep) == 4:
+            # on a facet, take the direction of x from the facet normal,
+            # which the differences of its vertices fix far more finely
+            # than rounding leaves x itself once |x| is small
+            normal = np.linalg.svd(face[1:] - face[0])[2][3]
+            x_new = (normal @ face[0]) * normal
+        nn_new = float(x_new @ x_new)
+        if not nn_new < nn:
+            break       # no progress left at this precision
+        verts, weights, x, nn = face, lam, x_new, nn_new
+        origs = [(origs + [orig])[i] for i in keep]
+    # the bracket closes no further: far below the scale of the problem,
+    # rounding in the direction of x bounds how tight the plane can be
+    if lower > eps:
+        return Outside(upper)
+    raise NumericalBreakdown(
+        "hull membership undecided: the collar lies within the distance "
+        "bracket", lower=lower, upper=upper, collar=eps, gap=gap)
+
+
+# ---------------------------------------------------------------------------
 # public routes
 
 
@@ -173,13 +334,14 @@ def hull_membership_slice(q: Quaternion, zs: ZeroSet,
     When every isolated zero is real the hull meets the slice through q
     in the planar hull of the real zeros and the pairs x +- I y, so the
     question reduces to exact planar geometry. Otherwise the hull is a
-    genuinely 4-dimensional body and the query is delegated to the
-    sampled 4-d route.
+    genuinely 4-dimensional body and the query goes to the exact 4-d
+    kernel, with each zero sphere passed whole through its support map.
     """
     if zs.is_empty():
         raise ValueError("membership in the hull of an empty zero set")
     if not zs.is_points_and_spheres():
-        return hull_membership_4d(q, zs.points(_SPHERE_SAMPLES), eps_hull)
+        return _membership(q, [z.point for z in zs.isolated],
+                           [s.sphere for s in zs.spheres], eps_hull)
     im = q.im_norm()
     unit = imag_unit(q) if im > 0.0 else UNIT_I
     zq = complex(q.w, im)
@@ -203,83 +365,10 @@ def hull_membership_slice(q: Quaternion, zs: ZeroSet,
 
 def hull_membership_4d(q: Quaternion, points: list[Quaternion],
                        eps_hull: float = EPS_HULL):
-    """Certificate that q is a convex combination of the given points.
-
-    Solved as a nonnegative least squares problem on the coordinates
-    augmented with a heavily weighted row forcing the weights to sum to
-    one, then reduced to at most five support points."""
+    """Certificate, with at most five support points, that q is a convex
+    combination of the given points, or the exact distance from q to
+    their hull. Raises NumericalBreakdown when the collar lies within
+    the distance bracket the iteration could reach."""
     if not points:
         raise ValueError("membership in the hull of no points")
-    tq = np.array([q.w, q.x, q.y, q.z])
-    eps = eps_hull * (1.0 + q.norm())
-    arr = np.array([[p.w, p.x, p.y, p.z] for p in points])
-
-    if len(points) == 1:
-        d = float(np.linalg.norm(arr[0] - tq))
-        if d <= eps:
-            return HullCertificate((points[0],), (1.0,), d)
-        return Outside(d)
-    if len(points) == 2:
-        d0 = arr[1] - arr[0]
-        den = float(d0 @ d0)
-        t = 0.0 if den == 0.0 else float((tq - arr[0]) @ d0) / den
-        t = min(1.0, max(0.0, t))
-        d = float(np.linalg.norm(arr[0] + t * d0 - tq))
-        if d <= eps:
-            return HullCertificate(tuple(points), (1.0 - t, t), d)
-        return Outside(d)
-
-    # moderate weight on the sum row; the slack is recomputed honestly
-    # below, so the verdict never depends on this scaling
-    gamma = 10.0 * (1.0 + float(np.max(np.linalg.norm(arr, axis=1)))
-                    + q.norm())
-    a_mat = np.vstack([arr.T, gamma * np.ones(len(points))])
-    b_vec = np.concatenate([tq, [gamma]])
-    # the solver steps through invalid values on some exterior queries;
-    # the recomputed slack below vouches for whatever it returns
-    with np.errstate(invalid="ignore", divide="ignore"):
-        lam = lsq_linear(a_mat, b_vec, bounds=(0.0, np.inf), tol=1e-14).x
-    total = float(lam.sum())
-    if total <= 0.0:
-        d = float(np.min(np.linalg.norm(arr - tq, axis=1)))
-        return Outside(d)
-    lam = lam / total
-    slack = float(np.linalg.norm(arr.T @ lam - tq))
-    if slack > eps:
-        return Outside(slack)
-    support = [i for i in range(len(points)) if lam[i] > 1e-13]
-    lam_s = _caratheodory(arr, lam.copy(), support)
-    idx = [i for i in support if lam_s[i] > 1e-13]
-    w = np.array([lam_s[i] for i in idx])
-    w = w / w.sum()
-    slack = float(np.linalg.norm(arr[idx].T @ w - tq))
-    return HullCertificate(tuple(points[i] for i in idx),
-                           tuple(float(x) for x in w), slack)
-
-
-def _caratheodory(arr, lam, support):
-    """Zero out weights along affine dependences until at most five
-    support points remain. Keeps the combination and the weight sum."""
-    support = list(support)
-    guard = len(support)
-    while len(support) > 5 and guard > 0:
-        guard -= 1
-        m = np.vstack([arr[support].T, np.ones(len(support))])
-        _, _, vh = np.linalg.svd(m)
-        v = vh[-1]
-        cand = [(lam[i] / v[j], j) for j, i in enumerate(support)
-                if v[j] > 1e-12]
-        if not cand:
-            v = -v
-            cand = [(lam[i] / v[j], j) for j, i in enumerate(support)
-                    if v[j] > 1e-12]
-        if not cand:
-            break
-        t, jmin = min(cand)
-        for j, i in enumerate(support):
-            lam[i] -= t * v[j]
-            if lam[i] < 0.0:
-                lam[i] = 0.0
-        lam[support[jmin]] = 0.0
-        support = [i for i in support if lam[i] > 1e-13]
-    return lam
+    return _membership(q, points, [], eps_hull)

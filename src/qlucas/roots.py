@@ -5,6 +5,7 @@ whole 2-spheres."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ TAU_ZERO = 1e-8
 _RADII = (2e-2, 2e-3, 2e-4, 2e-5)
 _TAU_VALIDATE = 1e-12
 _IM_SNAP = 1e-12
+_ULP = sys.float_info.epsilon
 
 
 class NumericalBreakdown(RuntimeError):
@@ -83,18 +85,26 @@ def _derivs(coeffs: np.ndarray) -> list[np.ndarray]:
 
 def _newton(derivs, order: int, z0: complex, max_iter: int = 80) -> complex:
     """Newton on the order-th derivative, where the hypothesized root is
-    simple. Returns the start point if the iteration wanders."""
+    simple. Stops after a step within the spacing of doubles at z, or
+    once a step is no shorter than the one before, without taking it:
+    the iterate has then reached the rounding noise, where a threshold
+    below the spacing would stop only on an exactly zero step.
+    Returns the start point if the iteration wanders."""
     d = derivs[min(order, len(derivs) - 1)]
     dp = derivs[min(order + 1, len(derivs) - 1)]
     z = z0
+    last = math.inf
     for _ in range(max_iter):
         fp = _polyval(dp, z)
         if fp == 0:
             break
         step = _polyval(d, z) / fp
-        z = z - step
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
+        if abs(step) >= last:
             break
+        z = z - step
+        if abs(step) <= _ULP * abs(z):
+            break
+        last = abs(step)
     if not (abs(z - z0) <= 0.1 * (1.0 + abs(z0))):
         return z0
     return z

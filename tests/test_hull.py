@@ -1,15 +1,25 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qlucas
+from qlucas import hull
 from qlucas.hull import (
     HullCertificate, Outside, _member2d, hull_membership_4d,
     hull_membership_slice,
 )
 from qlucas.qpoly import QPoly
-from qlucas.quaternion import I, J, K, Quaternion
-from qlucas.roots import ZeroSet, zero_set
+from qlucas.quaternion import I, J, K, Quaternion, TwoSphere
+from qlucas.roots import (
+    IsolatedZero, NumericalBreakdown, SphereZero, ZeroSet, zero_set,
+)
 
 
 def rand_q(rng, r=2.0):
@@ -148,6 +158,162 @@ def test_4d_exterior_points_report_distance():
 def test_4d_empty_input_is_an_error():
     with pytest.raises(ValueError):
         hull_membership_4d(Quaternion(), [], 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# exact membership in the hull of points and whole spheres
+
+
+def points_and_spheres(points, spheres):
+    """Zero set with the given isolated points and spheres (x, y)."""
+    return ZeroSet(tuple(IsolatedZero(p, 1, 0.0) for p in points),
+                   tuple(SphereZero(TwoSphere(x, y), 1, 0.0)
+                         for x, y in spheres),
+                   len(points) + 2 * len(spheres))
+
+
+def test_exact_hull_closed_form_distances():
+    # conv of the unit ball of Im H and the point 3k: in the (i, k) plane
+    # a disc and an apex, joined by the tangent from (0, 3), which
+    # touches the circle at t = (sqrt 8 / 3, 1 / 3)
+    zs = points_and_spheres([3.0 * K], [(0.0, 1.0)])
+    assert not zs.is_points_and_spheres()
+    cone = (2.0 * math.sqrt(8.0) - 1.0) / 3.0     # <(2, 2), t> - 1
+    cases = [
+        (Quaternion(1.0), 1.0),                    # off the flat, over 0
+        (Quaternion(0, 2, 0, 0), 1.0),             # nearest on the ball
+        (Quaternion(0, 0, 0, -2), 1.0),
+        (Quaternion(0, 0, 0, 4), 1.0),             # nearest at the apex
+        (Quaternion(0, 2, 0, 2), cone),            # nearest on the tangent
+        (Quaternion(0, 0, -2, 2), cone),           # same, rotated about k
+        (Quaternion(0.5, 2, 0, 2), math.hypot(0.5, cone)),
+    ]
+    for q, want in cases:
+        out = hull_membership_slice(q, zs, 1e-9)
+        assert isinstance(out, Outside)
+        assert out.distance == pytest.approx(want, abs=1e-9)
+    for q in (Quaternion(0, 0.3, 0, 0.5), Quaternion(0, 0, 0, 2.9),
+              Quaternion(0, 0.6, -0.6, 0.4)):
+        assert_sound(hull_membership_slice(q, zs, 1e-9), q,
+                     1e-9 * (1.0 + q.norm()))
+
+
+def test_exact_hull_certificates_use_at_most_five_support_points():
+    rng = random.Random(53)
+    for _ in range(80):
+        points = [rand_q(rng, 3.0) for _ in range(rng.randint(1, 3))]
+        spheres = [(rng.uniform(-3, 3), rng.uniform(0.2, 3))
+                   for _ in range(rng.randint(1, 3))]
+        zs = points_and_spheres(points, spheres)
+        # a random convex combination of zeros is a member
+        members = list(points)
+        for x, y in spheres:
+            u = rand_q(rng, 1.0)
+            u = Quaternion(0.0, u.x, u.y, u.z)
+            members.append(Quaternion(x) + (y / u.norm()) * u)
+        w = [rng.random() for _ in members]
+        q = Quaternion()
+        for wk, pk in zip(w, members):
+            q = q + (wk / sum(w)) * pk
+        cert = hull_membership_slice(q, zs, 1e-8)
+        assert_sound(cert, q, 1e-8 * (1.0 + q.norm()))
+        assert len(cert.points) <= 5
+        for p in cert.points:
+            assert p in points or any(
+                abs(p.w - x) <= 1e-12 and abs(p.im_norm() - y) <= 1e-12
+                for x, y in spheres)
+
+
+coord = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
+                  allow_infinity=False)
+quat4 = st.tuples(coord, coord, coord, coord)
+
+
+def verdict_or_breakdown(q, zs, eps_hull):
+    """The membership verdict, or None for a breakdown, which only a
+    distance far below the scale of the problem may cause: there the
+    rounding of the nearest point's direction loosens the separating
+    plane by more than the collar."""
+    try:
+        return hull_membership_slice(q, zs, eps_hull)
+    except NumericalBreakdown as err:
+        scale = 1.0 + max([q.norm()] + [z.point.norm() for z in zs.isolated]
+                          + [math.hypot(*s.sphere) for s in zs.spheres])
+        assert err.info["upper"] <= 1e-6 * scale
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(rot=quat4.filter(lambda t: math.hypot(*t) > 0.1),
+       points=st.lists(quat4, min_size=1, max_size=3),
+       spheres=st.lists(st.tuples(coord, st.floats(0.1, 3.0)), max_size=2),
+       query=quat4)
+def test_exact_hull_is_invariant_under_rotation(rot, points, spheres, query):
+    # q -> u q u^-1 rotates Im H and fixes every sphere [x + Iy]
+    u = Quaternion(*rot)
+    u = u / u.norm()
+    points = [Quaternion(*p) + 0.5 * J for p in points]   # keep one non-real
+    zs = points_and_spheres(points, spheres)
+    turned = points_and_spheres([u * p * u.conjugate() for p in points],
+                                spheres)
+    q = Quaternion(*query)
+    a = verdict_or_breakdown(q, zs, 1e-8)
+    b = verdict_or_breakdown(u * q * u.conjugate(), turned, 1e-8)
+    if a is None or b is None:
+        return
+    assert type(a) is type(b)
+    if isinstance(a, Outside):
+        assert b.distance == pytest.approx(a.distance, abs=1e-9)
+
+
+def test_exact_hull_breaks_down_when_the_iterations_run_out(monkeypatch):
+    zs = points_and_spheres([3.0 * K], [(0.0, 1.0)])
+    q = Quaternion(0, 0.3, 0, 0.5)           # inside, not at a generator
+    monkeypatch.setattr(hull, "_MAX_ITER", 1)
+    with pytest.raises(NumericalBreakdown) as err:
+        hull_membership_slice(q, zs, 1e-9)
+    info = err.value.info
+    assert info["lower"] <= info["collar"] < info["upper"]
+
+
+def test_own_hull_regression_gets_a_certificate():
+    # (q - a)(q - b)(q - c)(q^2 - 2xq + x^2 + y^2): the sampled 4-d route
+    # reported the critical point near (-2.7534, 0.7777, 0.6392, -1.1271)
+    # Outside by 6e-4, but it lies in the hull of the zeros
+    coeffs = [
+        [-131.94328623724306, 134.00934423630113, 295.16697114359897,
+         -538.9300809182621],
+        [-86.73924212026103, 199.42658819638223, 478.9087838334055,
+         -382.2831817474791],
+        [22.87830352319823, 142.4086900796349, 250.20220588505674,
+         -73.74373642513258],
+        [33.46334861642896, 46.59989399193561, 54.73122346874402,
+         4.928471993490982],
+        [10.043005466400675, 5.985185841185813, 4.036399813835514,
+         1.9773848770084799],
+        [1, 0, 0, 0],
+    ]
+    p = QPoly([Quaternion(*c) for c in coeffs])
+    zs = zero_set(p)
+    crit = zero_set(p.derivative())
+    target = Quaternion(-2.7534, 0.7777, 0.6392, -1.1271)
+    q = min((z.point for z in crit.isolated),
+            key=lambda z: (z - target).norm())
+    assert (q - target).norm() <= 1e-4
+    cert = hull_membership_slice(q, zs, 1e-8)
+    assert isinstance(cert, HullCertificate)
+    assert cert.check(q, 1e-8 * (1.0 + q.norm()))
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(qlucas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qlucas; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

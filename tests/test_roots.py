@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from qlucas import roots as roots_mod
 from qlucas.quaternion import I, J, K, Quaternion, TwoSphere
 from qlucas.qpoly import QPoly, star_mul
 from qlucas.roots import (
@@ -121,6 +122,28 @@ def test_residuals_and_counts():
         for c in cl:
             assert isinstance(c.center, complex)
             assert c.residual <= 1e-8
+
+
+def test_newton_stops_at_the_rounding_noise(monkeypatch):
+    # quadratic convergence from 1e-6 away reaches the noise in a few
+    # steps; the loop must end there rather than run on to max_iter
+    calls = []
+    horner = roots_mod._polyval
+
+    def counted(coeffs, z):
+        calls.append(z)
+        return horner(coeffs, z)
+
+    monkeypatch.setattr(roots_mod, "_polyval", counted)
+    rng = random.Random(31)
+    for _ in range(100):
+        roots = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                 for _ in range(6)]
+        derivs = roots_mod._derivs(poly_from_roots(roots))
+        calls.clear()
+        z = roots_mod._newton(derivs, 0, roots[0] + 1e-6)
+        assert abs(z - roots[0]) <= 1e-12 * (1.0 + abs(roots[0]))
+        assert len(calls) <= 16      # two evaluations per step
 
 
 def test_degenerate_inputs_raise():
