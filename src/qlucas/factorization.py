@@ -8,17 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .qpoly import SlicePoly
+from .qpoly import SlicePoly, horner
 from .roots import NumericalBreakdown, complex_roots
 
 TAU_FACTOR = 1e-8
-
-
-def _horner(coeffs, z):
-    acc = 0j
-    for c in reversed(list(coeffs)):
-        acc = acc * z + c
-    return acc
 
 
 @dataclass(frozen=True)
@@ -40,7 +33,7 @@ class MFactor:
         return npp.polymul(m, np.conj(m)).real
 
     def __call__(self, z: complex) -> complex:
-        return _horner(self.m_coeffs, z)
+        return horner(self.m_coeffs, z)
 
 
 def fejer_riesz_factor(q_coeffs, tau_factor: float = TAU_FACTOR) -> MFactor:
@@ -134,9 +127,9 @@ def check_l_identity(p1, p2, m_coeffs, z_samples,
 
     for z in z_samples:
         z = complex(z)
-        lhs = z * (_horner(d1, z) * _horner(np.conj(p1), z)
-                   + _horner(d2, z) * _horner(np.conj(p2), z))
-        rhs = z * _horner(dm, z) * _horner(np.conj(m), z)
+        lhs = z * (horner(d1, z) * horner(np.conj(p1), z)
+                   + horner(d2, z) * horner(np.conj(p2), z))
+        rhs = z * horner(dm, z) * horner(np.conj(m), z)
         r = abs(z)
         scale = 1.0 + r * (mag(d1, r) * mag(p1, r) + mag(d2, r) * mag(p2, r)
                            + mag(dm, r) * mag(m, r))

@@ -18,7 +18,7 @@ from .hull import (
     _member2d,
     hull_membership_slice,
 )
-from .qpoly import QPoly, restrict_to_slice
+from .qpoly import QPoly, horner, horner_scale, restrict_to_slice
 from .quaternion import (
     I as UNIT_I,
     J as UNIT_J,
@@ -168,10 +168,6 @@ def _trim_c(arr: np.ndarray) -> np.ndarray:
     return arr[:keep]
 
 
-def _slice_scale(coeffs, r: float) -> float:
-    return float(sum(abs(c) * (1.0 + r) ** n for n, c in enumerate(coeffs)))
-
-
 def _slice_critical(sp) -> list[complex]:
     """Common roots of the two component derivatives on the slice."""
     d1 = _trim_c(np.polynomial.polynomial.polyder(np.asarray(sp.p1,
@@ -186,8 +182,8 @@ def _slice_critical(sp) -> list[complex]:
     out = []
     for z in np.atleast_1d(np.roots(primary[::-1])):
         z = complex(z)
-        if other.size == 0 or (abs(np.polynomial.polynomial.polyval(z, other))
-                               <= 1e-8 * _slice_scale(other, abs(z))):
+        if other.size == 0 or (abs(horner(other, z))
+                               <= 1e-8 * horner_scale(other, abs(z))):
             out.append(z)
     out.sort(key=lambda w: (w.real, w.imag))
     return out
@@ -241,16 +237,17 @@ def slice_equivalence_check(p: QPoly, units=None,
 # coefficient bound
 
 
-def modulus_lower_bound_details(p: QPoly) -> dict:
+def _coefficient_bound(p: QPoly) -> tuple[float, int, int]:
     """Lower bound on the largest zero modulus from the coefficients of
     the symmetrization b_0 + ... + b_2m z^2m:
 
         max over 0 < n < 2m of (|b_{2m-n}| / (C(2m, n) |b_{2m}|))^(1/n)
+
+    Returns the bound, the n attaining it and 2m.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("bound needs a polynomial of degree >= 1")
-    ps = p.symmetrize()
-    b = ps.real_coeffs()
+    b = p.symmetrize().real_coeffs()
     two_m = len(b) - 1
     lead = abs(b[-1])
     best, best_n = 0.0, 0
@@ -261,17 +258,24 @@ def modulus_lower_bound_details(p: QPoly) -> dict:
         val = (num / (math.comb(two_m, n) * lead)) ** (1.0 / n)
         if val > best:
             best, best_n = val, n
-    zs = zero_set(p)
+    return best, best_n, two_m
+
+
+def modulus_lower_bound_details(p: QPoly) -> dict:
+    """The coefficient bound, with the largest zero modulus that
+    zero_set(p) observes, for comparison."""
+    best, best_n, two_m = _coefficient_bound(p)
     return {
         "bound": best,
         "n": best_n,
         "sym_degree": two_m,
-        "observed_max_modulus": zs.max_modulus(),
+        "observed_max_modulus": zero_set(p).max_modulus(),
     }
 
 
 def modulus_lower_bound(p: QPoly) -> float:
-    return modulus_lower_bound_details(p)["bound"]
+    """The coefficient bound alone; it finds no roots."""
+    return _coefficient_bound(p)[0]
 
 
 # ---------------------------------------------------------------------------

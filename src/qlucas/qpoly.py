@@ -101,16 +101,14 @@ class QPoly:
         return self.evaluate(q)
 
     def evaluate(self, q: Quaternion) -> Quaternion:
-        """Evaluate by iterated powers, q^n times a_n on the right."""
+        """P(q) = A + I B, where (A, B) = sphere_values(self, Re q, |Im q|)
+        and I = Im q / |Im q|; A alone when q is real."""
         q = _coerce(q)
-        if self.is_zero:
-            return Quaternion()
-        acc = self.coeffs[0]
-        power = Quaternion(1.0)
-        for a in self.coeffs[1:]:
-            power = power * q
-            acc = acc + power * a
-        return acc
+        y = q.im_norm()
+        a, b = sphere_values(self, q.w, y)
+        if y == 0.0:
+            return a
+        return a + Quaternion(0.0, q.x / y, q.y / y, q.z / y) * b
 
     def conjugate(self) -> "QPoly":
         """Coefficientwise quaternionic conjugate P^c."""
@@ -140,13 +138,7 @@ class QPoly:
 
     def eval_scale(self, qnorm: float) -> float:
         """scale(P, q) = sum |a_n| (1 + |q|)^n, the residual yardstick."""
-        s = 0.0
-        base = 1.0 + qnorm
-        p = 1.0
-        for c in self.coeffs:
-            s += c.norm() * p
-            p *= base
-        return s
+        return horner_scale(self.coeffs, qnorm)
 
     def to_json_dict(self) -> dict:
         return {"coeffs": [c.to_list() for c in self.coeffs]}
@@ -154,6 +146,46 @@ class QPoly:
     @classmethod
     def from_json_dict(cls, data: dict) -> "QPoly":
         return cls([Quaternion.from_list(c) for c in data["coeffs"]])
+
+
+def horner(coeffs: Sequence[complex], z: complex) -> complex:
+    """Value at z of the polynomial with ascending coefficients."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def horner_scale(coeffs, r: float) -> float:
+    """sum |c_n| (1 + r)^n, which bounds the terms horner adds at |z| = r."""
+    base = 1.0 + r
+    s = 0.0
+    p = 1.0
+    for c in coeffs:
+        s += abs(c) * p
+        p *= base
+    return s
+
+
+def sphere_values(p: QPoly, x: float,
+                  y: float) -> tuple[Quaternion, Quaternion]:
+    """(A, B) with P(x + I y) = A + I B for every unit imaginary I.
+
+    Representation formula (Gentili and Struppa, Adv. Math. 216, 2007):
+    (x + I y)^n = Re z^n + I Im z^n with z = x + iy, so A and B hold the
+    real and imaginary parts at z of the four real component polynomials
+    of P (the w, x, y and z parts of the coefficients). One Horner pass
+    with four complex accumulators; no Hamilton product.
+    """
+    z = complex(x, y)
+    aw = ax = ay = az = 0j
+    for c in reversed(p.coeffs):
+        aw = aw * z + c.w
+        ax = ax * z + c.x
+        ay = ay * z + c.y
+        az = az * z + c.z
+    return (Quaternion(aw.real, ax.real, ay.real, az.real),
+            Quaternion(aw.imag, ax.imag, ay.imag, az.imag))
 
 
 def star_mul(p: QPoly, q: QPoly) -> QPoly:
@@ -237,20 +269,13 @@ class SlicePoly:
         return Quaternion(z.real, ui.x * z.imag, ui.y * z.imag, ui.z * z.imag)
 
     def evaluate(self, z: complex) -> Quaternion:
-        v1 = _cpoly_eval(self.p1, z)
-        v2 = _cpoly_eval(self.p2, z)
+        v1 = horner(self.p1, z)
+        v2 = horner(self.p2, z)
         return self.embed(v1) + self.embed(v2) * self.unit_j
 
     def derivative(self) -> "SlicePoly":
         return SlicePoly(self.unit_i, self.unit_j,
                          _cpoly_der(self.p1), _cpoly_der(self.p2))
-
-
-def _cpoly_eval(coeffs: Sequence[complex], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
 
 
 def _cpoly_der(coeffs: Sequence[complex]) -> tuple[complex, ...]:

@@ -11,15 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quaternion import (
-    I as UNIT_I,
-    J as UNIT_J,
-    K as UNIT_K,
     Quaternion,
     TAU_UNIT,
     TwoSphere,
     is_unit_imaginary,
 )
-from .qpoly import QPoly, TAU_REAL
+from .qpoly import QPoly, TAU_REAL, horner, horner_scale, sphere_values
 
 TAU_CLUSTER = 1e-6
 TAU_ROOT = 1e-8
@@ -56,30 +53,15 @@ class RootCluster:
     residual: float
 
 
-def _polyval(coeffs, z):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _scale_at(coeffs, z) -> float:
-    base = 1.0 + abs(z)
-    s = 0.0
-    p = 1.0
-    for c in coeffs:
-        s += abs(c) * p
-        p *= base
-    return s
-
-
-def _derivs(coeffs: np.ndarray) -> list[np.ndarray]:
-    out = [coeffs]
+def _derivs(coeffs: np.ndarray) -> list[list[complex]]:
+    """All derivatives as lists of Python numbers, which Horner's rule
+    runs through faster than numpy scalars."""
+    out = [coeffs.tolist()]
     cur = coeffs
     while len(cur) > 1:
         cur = cur[1:] * np.arange(1, len(cur))
-        out.append(cur)
-    out.append(np.zeros(1, dtype=coeffs.dtype))
+        out.append(cur.tolist())
+    out.append([0j])
     return out
 
 
@@ -95,10 +77,10 @@ def _newton(derivs, order: int, z0: complex, max_iter: int = 80) -> complex:
     z = z0
     last = math.inf
     for _ in range(max_iter):
-        fp = _polyval(dp, z)
+        fp = horner(dp, z)
         if fp == 0:
             break
-        step = _polyval(d, z) / fp
+        step = horner(d, z) / fp
         if abs(step) >= last:
             break
         z = z - step
@@ -113,7 +95,7 @@ def _newton(derivs, order: int, z0: complex, max_iter: int = 80) -> complex:
 def _validated(derivs, z: complex, mu: int) -> bool:
     for j in range(mu):
         dj = derivs[min(j, len(derivs) - 1)]
-        if abs(_polyval(dj, z)) > _TAU_VALIDATE * _scale_at(dj, z):
+        if abs(horner(dj, z)) > _TAU_VALIDATE * horner_scale(dj, abs(z)):
             return False
     return True
 
@@ -220,7 +202,7 @@ def complex_roots(coeffs, tau_cluster: float = TAU_CLUSTER,
     out = []
     for z, m in sorted(clusters, key=lambda it: (it[0].real, it[0].imag)):
         z = complex(z)
-        res = float(abs(_polyval(c, z))) / _scale_at(c, z)
+        res = abs(horner(derivs[0], z)) / horner_scale(derivs[0], abs(z))
         if res > tau_root:
             raise NumericalBreakdown(
                 "root residual above tolerance",
@@ -267,17 +249,6 @@ def _enforce_conjugate_closure(clusters):
 
 # ---------------------------------------------------------------------------
 # quaternionic zero sets
-
-
-_SQ2 = 1.0 / math.sqrt(2.0)
-_SQ3 = 1.0 / math.sqrt(3.0)
-_SAMPLE_UNITS = (
-    UNIT_I,
-    UNIT_J,
-    UNIT_K,
-    Quaternion(0.0, _SQ2, _SQ2, 0.0),
-    Quaternion(0.0, _SQ3, -_SQ3, _SQ3),
-)
 
 
 @dataclass(frozen=True)
@@ -337,11 +308,18 @@ class ZeroSet:
 
 
 def _sphere_residual(p: QPoly, s: TwoSphere) -> float:
-    worst = 0.0
-    for u in _SAMPLE_UNITS:
-        q = s.representative(u)
-        worst = max(worst, p.evaluate(q).norm() / p.eval_scale(q.norm()))
-    return worst
+    """Exact maximum of |P| / eval_scale(hypot(x, y)) over the whole
+    sphere [x + Iy], or at the real point x when y = 0.
+
+    With P(x + Iy) = A + I B (sphere_values),
+    |A + I B|^2 = |A|^2 + |B|^2 - 2 <Im(B A^c), I>, so the maximum is
+    sqrt(|A|^2 + |B|^2 + 2 |Im(B A^c)|), attained at
+    I = -Im(B A^c) / |Im(B A^c)| (at every I when Im(B A^c) = 0).
+    """
+    a, b = sphere_values(p, s.x, s.y)
+    cross = (b * a.conjugate()).im_norm()
+    top = math.sqrt(a.norm2() + b.norm2() + 2.0 * cross)
+    return top / p.eval_scale(math.hypot(s.x, s.y))
 
 
 def classify_sphere(p: QPoly, s: TwoSphere, tau_zero: float = TAU_ZERO,
@@ -352,23 +330,19 @@ def classify_sphere(p: QPoly, s: TwoSphere, tau_zero: float = TAU_ZERO,
     ("not_a_zero", None).
 
     On [x + Iy] the polynomial takes the form P(x + Ky) = a + K b with a,
-    b independent of K, recovered from the two evaluations
-    A = P(x + iy), B = P(x - iy) as a = (A+B)/2, b = i (B-A)/2. Both
-    vanishing means the whole sphere is zeros; otherwise the only
-    candidate zero is at K = -a b^{-1}, valid when K is unit imaginary.
+    b independent of K: (a, b) = sphere_values(p, x, y), the real and
+    imaginary parts at x + iy of the four real component polynomials of
+    p. Both vanishing means the whole sphere is zeros; otherwise the
+    only candidate zero is at K = -a b^{-1}, valid when K is unit
+    imaginary.
     """
     if s.y <= 0.0:
         q = Quaternion(s.x)
         if p.evaluate(q).norm() <= tau_zero * p.eval_scale(abs(s.x)):
             return ("isolated", q)
         return ("not_a_zero", None)
-    zp = s.representative(UNIT_I)
-    zm = s.representative(-UNIT_I)
-    va = p.evaluate(zp)
-    vb = p.evaluate(zm)
-    a = (va + vb) / 2.0
-    b = (UNIT_I * (vb - va)) / 2.0
-    scale = p.eval_scale(zp.norm())
+    a, b = sphere_values(p, s.x, s.y)
+    scale = p.eval_scale(math.hypot(s.x, s.y))
     if a.norm() <= tau_zero * scale and b.norm() <= tau_zero * scale:
         return ("spherical", None)
     if b.norm() > tau_zero * scale:
@@ -412,13 +386,12 @@ def zero_set(p: QPoly, tau_zero: float = TAU_ZERO) -> ZeroSet:
                 raise NumericalBreakdown(
                     "odd multiplicity at a real root of the symmetrization",
                     x=x, multiplicity=mu)
-            q = Quaternion(x)
-            res = p.evaluate(q).norm() / p.eval_scale(abs(x))
+            res = _sphere_residual(p, TwoSphere(x, 0.0))
             if res > tau_zero:
                 raise NumericalBreakdown(
                     "real root of the symmetrization is not a zero",
                     x=x, residual=res)
-            isolated.append(IsolatedZero(q, mu // 2, res))
+            isolated.append(IsolatedZero(Quaternion(x), mu // 2, res))
             continue
         s = TwoSphere(cl.center.real, cl.center.imag)
         t = cl.multiplicity
@@ -451,9 +424,9 @@ def _zero_set_real(p: QPoly, tau_zero: float) -> ZeroSet:
         if cl.center.imag < 0:
             continue
         if cl.center.imag == 0:
-            q = Quaternion(cl.center.real)
-            res = p.evaluate(q).norm() / p.eval_scale(abs(cl.center.real))
-            isolated.append(IsolatedZero(q, cl.multiplicity, res))
+            x = cl.center.real
+            res = _sphere_residual(p, TwoSphere(x, 0.0))
+            isolated.append(IsolatedZero(Quaternion(x), cl.multiplicity, res))
         else:
             s = TwoSphere(cl.center.real, cl.center.imag)
             spheres.append(

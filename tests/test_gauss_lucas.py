@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qlucas import gauss_lucas
 from qlucas.gauss_lucas import (
     modulus_lower_bound, modulus_lower_bound_details, random_factored_poly,
     random_real_poly, run_verification_campaign, slice_equivalence_check,
@@ -159,6 +160,18 @@ def test_modulus_bound_never_exceeds_largest_zero():
         observed = max(zero_set(p).max_modulus(),
                        zero_set(p.conjugate()).max_modulus())
         assert modulus_lower_bound(p) <= observed + 1e-8
+
+
+def test_modulus_bound_finds_no_roots(monkeypatch):
+    rng = random.Random(19)
+    polys = [random_factored_poly(rng, (2, 5), 3.0) for _ in range(20)]
+    want = [modulus_lower_bound_details(p)["bound"] for p in polys]
+
+    def no_roots(*args, **kwargs):
+        raise AssertionError("the coefficient bound called zero_set")
+
+    monkeypatch.setattr(gauss_lucas, "zero_set", no_roots)
+    assert [modulus_lower_bound(p) for p in polys] == want
 
 
 def test_modulus_bound_quadratic_sphere():

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlucas.quaternion import I, J, K, Quaternion, random_unit_imaginary
 from qlucas.qpoly import (
@@ -39,6 +41,35 @@ def test_evaluation_uses_left_powers():
     assert p.evaluate(q).isclose(Quaternion(0, 0, -2, 0), 1e-12)
     # constants evaluate to themselves
     assert QPoly([K]).evaluate(q) == K
+
+
+def power_sum(p, q):
+    """P(q) from its definition: iterated powers q^n, a_n on the right."""
+    acc = Quaternion()
+    power = Quaternion(1.0)
+    for a in p.coeffs:
+        acc = acc + power * a
+        power = power * q
+    return acc
+
+
+coord = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
+                  allow_infinity=False)
+quat4 = st.tuples(coord, coord, coord, coord)
+tiny = st.floats(min_value=-5e-13, max_value=5e-13, allow_nan=False)
+queries = st.one_of(
+    quat4,
+    st.tuples(coord, st.just(0.0), st.just(0.0), st.just(0.0)),
+    st.tuples(coord, tiny, tiny, tiny))      # |Im q| <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(quat4, min_size=1, max_size=9), at=queries)
+def test_evaluate_matches_iterated_powers(coeffs, at):
+    p = QPoly([Quaternion(*c) for c in coeffs])
+    q = Quaternion(*at)
+    got = p.evaluate(q)
+    assert (got - power_sum(p, q)).norm() <= 1e-13 * p.eval_scale(q.norm())
 
 
 def test_arithmetic_matches_termwise_definition():

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from qlucas import roots as roots_mod
-from qlucas.quaternion import I, J, K, Quaternion, TwoSphere
-from qlucas.qpoly import QPoly, star_mul
+from qlucas.quaternion import (
+    I, J, K, Quaternion, TwoSphere, is_unit_imaginary, random_unit_imaginary,
+)
+from qlucas.qpoly import QPoly, sphere_values, star_mul
 from qlucas.roots import (
     NumericalBreakdown, classify_sphere, complex_roots, critical_points,
     zero_set,
@@ -128,13 +130,13 @@ def test_newton_stops_at_the_rounding_noise(monkeypatch):
     # quadratic convergence from 1e-6 away reaches the noise in a few
     # steps; the loop must end there rather than run on to max_iter
     calls = []
-    horner = roots_mod._polyval
+    horner = roots_mod.horner
 
     def counted(coeffs, z):
         calls.append(z)
         return horner(coeffs, z)
 
-    monkeypatch.setattr(roots_mod, "_polyval", counted)
+    monkeypatch.setattr(roots_mod, "horner", counted)
     rng = random.Random(31)
     for _ in range(100):
         roots = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -169,6 +171,84 @@ def test_classify_sphere_spherical_vs_isolated():
 
     kind, pt = classify_sphere(p, TwoSphere(4.0, 1.0))
     assert kind == "not_a_zero" and pt is None
+
+
+def power_sum(p, q):
+    """P(q) from its definition: iterated powers q^n, a_n on the right."""
+    acc = Quaternion()
+    power = Quaternion(1.0)
+    for a in p.coeffs:
+        acc = acc + power * a
+        power = power * q
+    return acc
+
+
+def random_factored(rng, deg, r=2.0):
+    acc = QPoly([1.0])
+    for _ in range(deg):
+        a = Quaternion(*(rng.uniform(-r, r) for _ in range(4)))
+        acc = acc * QPoly([-a, Quaternion(1)])
+    return acc
+
+
+def test_sphere_residual_is_the_maximum_over_the_sphere():
+    rng = random.Random(61)
+    for _ in range(40):
+        p = random_factored(rng, rng.randint(1, 5))
+        s = TwoSphere(rng.uniform(-2, 2), rng.uniform(0.1, 2))
+        worst = roots_mod._sphere_residual(p, s)
+        scale = p.eval_scale(math.hypot(s.x, s.y))
+        # the residual is attained at I = -Im(B A^c) / |Im(B A^c)|
+        a, b = sphere_values(p, s.x, s.y)
+        v = b * a.conjugate()
+        n = v.im_norm()
+        top = Quaternion(0.0, -v.x / n, -v.y / n, -v.z / n)
+        at_top = power_sum(p, s.representative(top)).norm() / scale
+        assert abs(at_top - worst) <= 1e-12 * worst
+        for _ in range(200):
+            q = s.representative(random_unit_imaginary(rng))
+            assert power_sum(p, q).norm() / scale <= worst * (1 + 1e-12)
+
+
+def classify_by_two_evaluations(p, s, tau_zero=1e-8, tau_unit=1e-10):
+    """classify_sphere from P(x + iy) and P(x - iy), as first written:
+    a = (P(x+iy) + P(x-iy)) / 2 and b = i (P(x-iy) - P(x+iy)) / 2."""
+    va = power_sum(p, Quaternion(s.x, s.y))
+    vb = power_sum(p, Quaternion(s.x, -s.y))
+    a = (va + vb) / 2.0
+    b = (I * (vb - va)) / 2.0
+    scale = p.eval_scale(math.hypot(s.x, s.y))
+    if a.norm() <= tau_zero * scale and b.norm() <= tau_zero * scale:
+        return ("spherical", None)
+    if b.norm() > tau_zero * scale:
+        k = -(a * b.inverse())
+        if is_unit_imaginary(k, tau_unit):
+            return ("isolated", s.representative(k))
+    return ("not_a_zero", None)
+
+
+def test_classify_sphere_agrees_with_two_evaluations():
+    ring = QPoly([1.0, 0.0, 1.0])
+    pair = QPoly([-I, Quaternion(1)]) * QPoly([-J, Quaternion(1)])
+    cases = [(ring, TwoSphere(0.0, 1.0)), (pair, TwoSphere(0.0, 1.0)),
+             (pair, TwoSphere(4.0, 1.0))]
+    rng = random.Random(67)
+    for _ in range(40):
+        p = random_factored(rng, rng.randint(2, 5))
+        for poly in (p, p.derivative(), p * p.conjugate() * p):
+            for cl in complex_roots(poly.symmetrize().real_coeffs()):
+                if cl.center.imag > 0:
+                    cases.append((poly, TwoSphere(cl.center.real,
+                                                  cl.center.imag)))
+    kinds = set()
+    for poly, s in cases:
+        kind, pt = classify_sphere(poly, s)
+        want, want_pt = classify_by_two_evaluations(poly, s)
+        assert kind == want
+        if pt is not None:
+            assert pt.isclose(want_pt, 1e-9 * (1.0 + pt.norm()))
+        kinds.add(kind)
+    assert kinds == {"spherical", "isolated", "not_a_zero"}
 
 
 def test_zero_set_quadratic_with_point_zero():
