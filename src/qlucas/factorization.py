@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .qpoly import SlicePoly, horner
+from .qpoly import SlicePoly, horner, trim_rel
 from .roots import NumericalBreakdown, complex_roots
 
 TAU_FACTOR = 1e-8
@@ -53,11 +53,7 @@ def fejer_riesz_factor(q_coeffs, tau_factor: float = TAU_FACTOR) -> MFactor:
     top = float(np.max(np.abs(q)))
     if float(np.max(np.abs(q.imag))) > 1e-13 * top:
         raise ValueError("factorization input must have real coefficients")
-    q = q.real.astype(float)
-    keep = q.size
-    while keep > 0 and abs(q[keep - 1]) <= 1e-12 * top:
-        keep -= 1
-    q = q[:keep]
+    q = trim_rel(q.real.astype(float))
 
     if q.size == 1:
         c = float(q[0])

@@ -15,10 +15,12 @@ from .hull import (
     EPS_HULL,
     HullCertificate,
     Outside,
+    _hull2d,
     _member2d,
-    hull_membership_slice,
+    planar_points,
+    slice_route,
 )
-from .qpoly import QPoly, horner, horner_scale, restrict_to_slice
+from .qpoly import QPoly, horner, horner_scale, restrict_to_slice, trim_rel
 from .quaternion import (
     I as UNIT_I,
     J as UNIT_J,
@@ -91,20 +93,20 @@ def _sphere_representatives(x: float, y: float, rng: random.Random):
 
 def _run_checks(hull_zeros: ZeroSet, crit: ZeroSet, eps_hull: float,
                 rng: random.Random):
-    checks: list[CriticalPointCheck] = []
-    for z in crit.isolated:
-        res = hull_membership_slice(z.point, hull_zeros, eps_hull)
-        if isinstance(res, Outside):
-            checks.append(CriticalPointCheck(z.point, "isolated", None, res))
-        else:
-            checks.append(CriticalPointCheck(z.point, "isolated", res, None))
+    """hull_membership_slice of every critical query against hull_zeros,
+    through one slice_route: one planar hull per zero set."""
+    member = slice_route(hull_zeros, eps_hull)
+    queries = [(z.point, "isolated") for z in crit.isolated]
     for s in crit.spheres:
-        for rep in _sphere_representatives(s.sphere.x, s.sphere.y, rng):
-            res = hull_membership_slice(rep, hull_zeros, eps_hull)
-            if isinstance(res, Outside):
-                checks.append(CriticalPointCheck(rep, "sphere", None, res))
-            else:
-                checks.append(CriticalPointCheck(rep, "sphere", res, None))
+        queries += [(rep, "sphere") for rep in
+                    _sphere_representatives(s.sphere.x, s.sphere.y, rng)]
+    checks: list[CriticalPointCheck] = []
+    for q, kind in queries:
+        res = member(q)
+        if isinstance(res, Outside):
+            checks.append(CriticalPointCheck(q, kind, None, res))
+        else:
+            checks.append(CriticalPointCheck(q, kind, res, None))
     return checks
 
 
@@ -156,24 +158,12 @@ def verify_real_case(p: QPoly, eps_hull: float = EPS_HULL,
 # slice-by-slice cross-check
 
 
-def _trim_c(arr: np.ndarray) -> np.ndarray:
-    if arr.size == 0:
-        return arr
-    top = float(np.max(np.abs(arr)))
-    if top == 0.0:
-        return arr[:0]
-    keep = arr.size
-    while keep > 0 and abs(arr[keep - 1]) <= 1e-12 * top:
-        keep -= 1
-    return arr[:keep]
-
-
 def _slice_critical(sp) -> list[complex]:
     """Common roots of the two component derivatives on the slice."""
-    d1 = _trim_c(np.polynomial.polynomial.polyder(np.asarray(sp.p1,
-                                                             dtype=complex)))
-    d2 = _trim_c(np.polynomial.polynomial.polyder(np.asarray(sp.p2,
-                                                             dtype=complex)))
+    d1 = trim_rel(np.polynomial.polynomial.polyder(np.asarray(sp.p1,
+                                                              dtype=complex)))
+    d2 = trim_rel(np.polynomial.polynomial.polyder(np.asarray(sp.p2,
+                                                              dtype=complex)))
     if d1.size == 0 and d2.size == 0:
         return []
     primary, other = (d1, d2) if d1.size >= d2.size else (d2, d1)
@@ -203,13 +193,9 @@ def slice_equivalence_check(p: QPoly, units=None,
         raise ValueError("slice check needs a polynomial of degree >= 2")
     if units is None:
         units = _DEFAULT_SLICE_UNITS
-    zeros = zero_set(p.symmetrize(), tau_zero)
-    pts2 = [complex(z.point.w, 0.0) for z in zeros.isolated]
-    for s in zeros.spheres:
-        pts2.append(complex(s.sphere.x, s.sphere.y))
-        pts2.append(complex(s.sphere.x, -s.sphere.y))
-
     reference = verify_gauss_lucas(p, eps_hull, tau_zero)
+    pts2 = planar_points(reference.zeros)
+    hull = _hull2d(pts2)
     slices = []
     all_inside = True
     for u in units:
@@ -218,7 +204,7 @@ def slice_equivalence_check(p: QPoly, units=None,
         inside = True
         worst = 0.0
         for z in crits:
-            res = _member2d(z, pts2, eps_hull * (1.0 + abs(z)))
+            res = _member2d(z, pts2, eps_hull * (1.0 + abs(z)), hull)
             if isinstance(res, Outside):
                 inside = False
                 worst = max(worst, res.distance)

@@ -122,11 +122,23 @@ def _proj_segment(z: complex, a: complex, b: complex):
     return t, abs(z - (a + t * d))
 
 
-def _member2d(z: complex, pts: list[complex], eps: float):
-    """Membership of z in conv(pts) with an eps collar.
+def planar_points(zs: ZeroSet) -> list[complex]:
+    """The real parts of the isolated zeros, then x + iy and x - iy for
+    each sphere: the generators of the hull's trace on a slice."""
+    pts = [complex(z.point.w, 0.0) for z in zs.isolated]
+    for s in zs.spheres:
+        pts += [complex(s.sphere.x, s.sphere.y),
+                complex(s.sphere.x, -s.sphere.y)]
+    return pts
+
+
+def _member2d(z: complex, pts: list[complex], eps: float, hull=None):
+    """Membership of z in conv(pts) with an eps collar; hull, when
+    given, is _hull2d(pts).
 
     Returns (list of (index, weight), slack) or an Outside."""
-    hull = _hull2d(pts)
+    if hull is None:
+        hull = _hull2d(pts)
     if len(hull) == 1:
         d = abs(z - pts[hull[0]])
         return ([(hull[0], 1.0)], d) if d <= eps else Outside(d)
@@ -336,31 +348,45 @@ def hull_membership_slice(q: Quaternion, zs: ZeroSet,
     question reduces to exact planar geometry. Otherwise the hull is a
     genuinely 4-dimensional body and the query goes to the exact 4-d
     kernel, with each zero sphere passed whole through its support map.
+    To query one zero set many times, use slice_route(zs, eps_hull).
     """
+    return slice_route(zs, eps_hull)(q)
+
+
+def slice_route(zs: ZeroSet, eps_hull: float = EPS_HULL):
+    """q -> hull_membership_slice(q, zs, eps_hull), with the planar hull
+    built once, each planar point x + i|Im q| decided once (x +- Iy of a
+    critical sphere share one), and only the at most 3 points of a
+    certificate lifted to quaternions."""
     if zs.is_empty():
         raise ValueError("membership in the hull of an empty zero set")
     if not zs.is_points_and_spheres():
-        return _membership(q, [z.point for z in zs.isolated],
-                           [s.sphere for s in zs.spheres], eps_hull)
-    im = q.im_norm()
-    unit = imag_unit(q) if im > 0.0 else UNIT_I
-    zq = complex(q.w, im)
-    pts2: list[complex] = []
-    qpts: list[Quaternion] = []
-    for z in zs.isolated:
-        pts2.append(complex(z.point.w, 0.0))
-        qpts.append(Quaternion(z.point.w))
-    for s in zs.spheres:
-        for sign in (1.0, -1.0):
-            pts2.append(complex(s.sphere.x, sign * s.sphere.y))
-            qpts.append(Quaternion(s.sphere.x) + (sign * s.sphere.y) * unit)
-    eps = eps_hull * (1.0 + abs(zq))
-    res = _member2d(zq, pts2, eps)
-    if isinstance(res, Outside):
-        return res
-    pairs, slack = res
-    return HullCertificate(tuple(qpts[i] for i, _ in pairs),
-                           tuple(w for _, w in pairs), float(slack))
+        points = [z.point for z in zs.isolated]
+        spheres = [s.sphere for s in zs.spheres]
+        return lambda q: _membership(q, points, spheres, eps_hull)
+    pts2 = planar_points(zs)
+    hull = _hull2d(pts2)
+    n = len(zs.isolated)
+    decided = {}
+
+    def lift(i: int, unit: Quaternion) -> Quaternion:
+        x, y = pts2[i].real, pts2[i].imag
+        return Quaternion(x) if i < n else Quaternion(x) + y * unit
+
+    def member(q: Quaternion):
+        im = q.im_norm()
+        unit = imag_unit(q) if im > 0.0 else UNIT_I
+        zq = complex(q.w, im)
+        if zq not in decided:
+            decided[zq] = _member2d(zq, pts2, eps_hull * (1.0 + abs(zq)),
+                                    hull)
+        res = decided[zq]
+        if isinstance(res, Outside):
+            return res
+        pairs, slack = res
+        return HullCertificate(tuple(lift(i, unit) for i, _ in pairs),
+                               tuple(w for _, w in pairs), float(slack))
+    return member
 
 
 def hull_membership_4d(q: Quaternion, points: list[Quaternion],

@@ -38,11 +38,7 @@ class QPoly:
             if q is None:
                 raise TypeError(f"coefficient {c!r} is not a quaternion or real")
             qs.append(q)
-        top = max((q.norm() for q in qs), default=0.0)
-        tau = TAU_TRIM_REL * top
-        while qs and qs[-1].norm() <= tau:
-            qs.pop()
-        self.coeffs = tuple(qs)
+        self.coeffs = tuple(trim_rel(qs, Quaternion.norm))
 
     @property
     def degree(self) -> int:
@@ -146,6 +142,16 @@ class QPoly:
     @classmethod
     def from_json_dict(cls, data: dict) -> "QPoly":
         return cls([Quaternion.from_list(c) for c in data["coeffs"]])
+
+
+def trim_rel(coeffs, mag=abs):
+    """coeffs without the trailing entries of magnitude at most
+    TAU_TRIM_REL times the largest, so all of them when that is 0."""
+    tau = TAU_TRIM_REL * max(map(mag, coeffs), default=0.0)
+    keep = len(coeffs)
+    while keep and mag(coeffs[keep - 1]) <= tau:
+        keep -= 1
+    return coeffs[:keep]
 
 
 def horner(coeffs: Sequence[complex], z: complex) -> complex:

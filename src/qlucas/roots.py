@@ -16,7 +16,8 @@ from .quaternion import (
     TwoSphere,
     is_unit_imaginary,
 )
-from .qpoly import QPoly, TAU_REAL, horner, horner_scale, sphere_values
+from .qpoly import (QPoly, TAU_REAL, horner, horner_scale, sphere_values,
+                    trim_rel)
 
 TAU_CLUSTER = 1e-6
 TAU_ROOT = 1e-8
@@ -102,7 +103,12 @@ def _validated(derivs, z: complex, mu: int) -> bool:
 
 def _components(items, radius_rel: float):
     """Single-linkage components; edge when the gap is within the
-    relative radius. Deterministic given the input order."""
+    relative radius. Deterministic given the input order. The items
+    come sorted by real part, and an edge from z_i to a later z_j has
+    d = |z_i - z_j| <= r (1 + |z_i| + d), so for r < 1 it needs
+    Re z_j - Re z_i <= d <= r (1 + |z_i|) / (1 - r). The scan over j
+    stops at the first larger gap (widened by 1e-9 against rounding):
+    every later gap is larger still, so the edges are the same."""
     n = len(items)
     parent = list(range(n))
 
@@ -114,8 +120,12 @@ def _components(items, radius_rel: float):
 
     for i in range(n):
         zi = items[i][0]
+        reach = (radius_rel * (1.0 + abs(zi)) / (1.0 - radius_rel)
+                 * (1.0 + 1e-9) if radius_rel < 1.0 else math.inf)
         for j in range(i + 1, n):
             zj = items[j][0]
+            if zj.real - zi.real > reach:
+                break
             lim = 1.0 + max(abs(zi), abs(zj))
             if abs(zi - zj) <= radius_rel * lim:
                 ri, rj = find(i), find(j)
@@ -167,17 +177,14 @@ def complex_roots(coeffs, tau_cluster: float = TAU_CLUSTER,
     """All roots of a complex-coefficient polynomial with multiplicities.
 
     Ascending coefficients. Companion-matrix eigenvalues, agglomerative
-    cluster merging (see note above), Newton polishing on the
-    (multiplicity-1)-th derivative, and for real input conjugate closure
-    enforced by exact pair symmetrization.
+    cluster merging (see note above), then Newton polishing on the
+    (multiplicity-1)-th derivative and the residual at each center.
+    Real coefficients make the roots conjugate-symmetric, and Horner's
+    rule commutes exactly with conjugation, so conjugate clusters polish
+    to exact conjugates with equal residuals: _polish_real pairs them
+    first, then polishes one of each pair and snaps near-axis centers.
     """
-    c = np.asarray(list(coeffs), dtype=complex)
-    if c.size:
-        top = float(np.max(np.abs(c)))
-        keep = c.size
-        while keep > 0 and abs(c[keep - 1]) <= 1e-12 * top:
-            keep -= 1
-        c = c[:keep]
+    c = np.asarray(trim_rel(list(coeffs)), dtype=complex)
     if c.size < 2:
         raise ValueError("root finding needs degree >= 1 after trimming")
     deg = c.size - 1
@@ -190,19 +197,22 @@ def complex_roots(coeffs, tau_cluster: float = TAU_CLUSTER,
         raw = np.roots(c[::-1])
     raw = np.atleast_1d(raw).astype(complex)
     derivs = _derivs(c)
+    mags = [abs(a) for a in derivs[0]]
+
+    def residual(z):
+        return abs(horner(derivs[0], z)) / horner_scale(mags, abs(z))
 
     items = sorted(([complex(z), 1] for z in raw),
                    key=lambda it: (it[0].real, it[0].imag))
     clusters = _agglomerate(items, derivs, tau_cluster)
-    clusters = [[_newton(derivs, m - 1, z), m] for z, m in clusters]
-
     if is_real:
-        clusters = _enforce_conjugate_closure(clusters)
+        found = _polish_real(clusters, derivs, residual)
+    else:
+        polished = [(_newton(derivs, m - 1, z), m) for z, m in clusters]
+        found = [(z, m, residual(z)) for z, m in polished]
 
     out = []
-    for z, m in sorted(clusters, key=lambda it: (it[0].real, it[0].imag)):
-        z = complex(z)
-        res = abs(horner(derivs[0], z)) / horner_scale(derivs[0], abs(z))
+    for z, m, res in sorted(found, key=lambda it: (it[0].real, it[0].imag)):
         if res > tau_root:
             raise NumericalBreakdown(
                 "root residual above tolerance",
@@ -215,15 +225,20 @@ def complex_roots(coeffs, tau_cluster: float = TAU_CLUSTER,
     return out
 
 
-def _enforce_conjugate_closure(clusters):
-    """Snap near-axis centers to the real axis and average each
-    conjugate pair of clusters so the multiset is exactly closed."""
-    reals = []
-    pos = []
-    neg = []
+def _polish_real(clusters, derivs, residual):
+    """(center, multiplicity, residual) of the clusters of a real
+    polynomial, closed under exact conjugation. Each lower cluster must
+    match an upper one in multiplicity and to 1e-9 relative distance;
+    only the upper one is polished. Centers within _IM_SNAP of the axis,
+    before or after polishing, are put on it."""
+    def on_axis(z):
+        return abs(z.imag) <= _IM_SNAP * (1.0 + abs(z))
+
+    out, pos, neg = [], [], []
     for z, m in clusters:
-        if abs(z.imag) <= _IM_SNAP * (1.0 + abs(z)):
-            reals.append([complex(z.real, 0.0), m])
+        if on_axis(z):
+            x = complex(_newton(derivs, m - 1, z).real, 0.0)
+            out.append((x, m, residual(x)))
         elif z.imag > 0:
             pos.append([z, m])
         else:
@@ -234,16 +249,17 @@ def _enforce_conjugate_closure(clusters):
             unpaired=len(pos) - len(neg))
     pos.sort(key=lambda it: (it[0].real, it[0].imag))
     neg.sort(key=lambda it: (it[0].real, -it[0].imag))
-    out = list(reals)
     for (zp, mp), (zn, mn) in zip(pos, neg):
-        lim = 1.0 + abs(zp)
-        if mp != mn or abs(zp - zn.conjugate()) > 1e-9 * lim:
+        if mp != mn or abs(zp - zn.conjugate()) > 1e-9 * (1.0 + abs(zp)):
             raise NumericalBreakdown(
                 "conjugate pairing failed for a real polynomial",
                 upper=zp, lower=zn)
-        z = (zp + zn.conjugate()) / 2
-        out.append([z, mp])
-        out.append([z.conjugate(), mp])
+        z = _newton(derivs, mp - 1, zp)
+        zc = z.conjugate()
+        if on_axis(z):
+            z = zc = complex(z.real, 0.0)
+        res = residual(z)
+        out += [(z, mp, res), (zc, mp, res)]
     return out
 
 

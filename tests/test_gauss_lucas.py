@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from qlucas import gauss_lucas
+from qlucas import gauss_lucas, hull
 from qlucas.gauss_lucas import (
     modulus_lower_bound, modulus_lower_bound_details, random_factored_poly,
     random_real_poly, run_verification_campaign, slice_equivalence_check,
     verify_gauss_lucas, verify_real_case,
 )
+from qlucas.hull import HullCertificate, Outside, hull_membership_slice
 from qlucas.qpoly import QPoly
 from qlucas.quaternion import I, J, K, Quaternion, imag_unit
-from qlucas.roots import zero_set
+from qlucas.roots import NumericalBreakdown, zero_set
 
 COUNTEREXAMPLE = QPoly([Quaternion(0, 0, 1, 0),
                         Quaternion(0, 1, 0, 0),
@@ -219,3 +220,57 @@ def test_campaign_real_kind_always_verifies():
 def test_campaign_rejects_unknown_kind():
     with pytest.raises(ValueError):
         run_verification_campaign(seed=1, trials=5, kind="exotic")
+
+
+def seeded_verifications(count):
+    """(input, report) for count factored and count real draws; draws
+    that break down are left out."""
+    rng = random.Random(211)
+    out = []
+    for _ in range(count):
+        for draw, verify in ((random_factored_poly, verify_gauss_lucas),
+                             (random_real_poly, verify_real_case)):
+            p = draw(rng)
+            try:
+                out.append((p, verify(p, seed=rng.randrange(1000))))
+            except NumericalBreakdown:
+                pass
+    return out
+
+
+def test_each_verification_builds_one_planar_hull(monkeypatch):
+    builds = []
+    hull2d = hull._hull2d
+
+    def counted(pts):
+        builds.append(len(pts))
+        return hull2d(pts)
+
+    monkeypatch.setattr(hull, "_hull2d", counted)
+    rng = random.Random(223)
+    queries = 0
+    for _ in range(20):
+        for draw, verify in ((random_factored_poly, verify_gauss_lucas),
+                             (random_real_poly, verify_real_case)):
+            builds.clear()
+            rep = verify(draw(rng))
+            assert len(builds) == 1
+            queries += len(rep.checks)
+    assert queries > 80
+
+
+def test_checks_match_fresh_hull_queries():
+    reports = seeded_verifications(100)
+    assert len(reports) >= 190
+    for _, rep in reports:
+        for c in rep.checks:
+            fresh = hull_membership_slice(c.point, rep.zeros, rep.eps_hull)
+            if isinstance(fresh, Outside):
+                assert c.violation == fresh and c.certificate is None
+            else:
+                assert c.certificate == fresh and c.violation is None
+            if c.certificate is not None:
+                assert isinstance(c.certificate, HullCertificate)
+                assert len(c.certificate.points) <= 3
+                assert c.certificate.check(
+                    c.point, rep.eps_hull * (1.0 + c.point.norm()))

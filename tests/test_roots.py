@@ -1,9 +1,13 @@
+import cmath
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlucas import roots as roots_mod
 from qlucas.quaternion import (
@@ -146,6 +150,133 @@ def test_newton_stops_at_the_rounding_noise(monkeypatch):
         z = roots_mod._newton(derivs, 0, roots[0] + 1e-6)
         assert abs(z - roots[0]) <= 1e-12 * (1.0 + abs(roots[0]))
         assert len(calls) <= 16      # two evaluations per step
+
+
+# real polynomials from their roots: (root, multiplicity) for real roots,
+# and (x, y, multiplicity) for the pairs x +- iy, some of them far from
+# the axis and some within 1e-4 of it
+real_roots = st.lists(st.tuples(st.floats(-3, 3), st.integers(1, 3)),
+                      max_size=3)
+pairs = st.lists(st.tuples(st.floats(-3, 3),
+                           st.one_of(st.floats(0.2, 3), st.floats(1e-7, 1e-4)),
+                           st.integers(1, 2)), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reals=real_roots, conj=pairs)
+def test_real_input_closes_under_exact_conjugation(reals, conj):
+    roots = []
+    for x, m in reals:
+        roots += [x] * m
+    for x, y, m in conj:
+        roots += [complex(x, y), complex(x, -y)] * m
+    if not roots:
+        roots = [1.0]
+    try:
+        cl = complex_roots(np.real(poly_from_roots(roots)))
+    except NumericalBreakdown:
+        return
+    found = Counter((c.center, c.multiplicity, c.residual) for c in cl)
+    mirrored = Counter((c.center.conjugate(), c.multiplicity, c.residual)
+                       for c in cl)
+    assert found == mirrored
+    for c in cl:
+        # a center is on the axis exactly, or clearly off it
+        assert (c.center.imag == 0.0
+                or abs(c.center.imag) > 1e-12 * (1.0 + abs(c.center)))
+
+
+@pytest.mark.parametrize("r,k", [(1, 0), (0, 1), (2, 1), (3, 2), (1, 4)])
+def test_real_input_polishes_once_per_conjugate_pair(monkeypatch, r, k):
+    # well separated simple roots: no cluster merges, so Newton runs only
+    # to polish, once per real root and once per conjugate pair
+    roots = [-2.5, 0.5, 2.0][:r]
+    for x, y in [(1.0, 2.0), (-1.0, 1.0), (2.5, 0.5), (-2.0, 3.0)][:k]:
+        roots += [complex(x, y), complex(x, -y)]
+    calls = []
+    newton = roots_mod._newton
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(roots_mod, "_newton", counted)
+    cl = complex_roots(np.real(poly_from_roots(roots)))
+    assert sorted(c.multiplicity for c in cl) == [1] * (r + 2 * k)
+    assert len(calls) == r + k
+
+
+def components_all_pairs(items, radius_rel):
+    """_components before its early stop: every pair is tested."""
+    n = len(items)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            zi, zj = items[i][0], items[j][0]
+            if abs(zi - zj) <= radius_rel * (1.0 + max(abs(zi), abs(zj))):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(items[i])
+    return [groups[k] for k in sorted(groups)]
+
+
+radii = st.sampled_from([2e-2, 2e-3, 2e-4, 2e-5, 1e-6, 0.3, 0.9, 1.0, 2.0])
+unit_offsets = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+
+
+@st.composite
+def clustered(draw):
+    """A few centers with points scattered about each at the scale of
+    the radius, so that many pairs sit near the edge threshold."""
+    r = draw(radii)
+    pts = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = complex(draw(st.floats(-5, 5)), draw(st.floats(-5, 5)))
+        for dx, dy in draw(st.lists(unit_offsets, min_size=1, max_size=5)):
+            pts.append(c + complex(dx, dy) * r * (1.0 + abs(c)))
+    return r, pts
+
+
+@st.composite
+def wide_moduli(draw):
+    """Points whose moduli span 16 decades."""
+    r = draw(radii)
+    polar = st.tuples(st.floats(-8, 8), st.floats(-4, 4))
+    pts = [cmath.rect(10.0 ** e, t)
+           for e, t in draw(st.lists(polar, max_size=12))]
+    return r, pts
+
+
+@st.composite
+def threshold_chains(draw):
+    """Points going right along the positive axis, each gap within 1e-6
+    of r (1 + x) / (1 - r), the largest gap an edge can span."""
+    r = draw(radii.filter(lambda v: v < 1.0))
+    x = draw(st.floats(0, 1e3))
+    pts = [complex(x, 0.0)]
+    for f in draw(st.lists(st.floats(1 - 1e-6, 1 + 1e-6), max_size=6)):
+        x += r * (1.0 + x) / (1.0 - r) * f
+        pts.append(complex(x, 0.0))
+    return r, pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(clustered(), wide_moduli(), threshold_chains()))
+def test_components_early_stop_keeps_every_edge(case):
+    r, pts = case
+    items = sorted(([z, i] for i, z in enumerate(pts)),
+                   key=lambda it: (it[0].real, it[0].imag))
+    assert roots_mod._components(items, r) == components_all_pairs(items, r)
 
 
 def test_degenerate_inputs_raise():
