@@ -24,7 +24,7 @@ from .gauss_lucas import (
 from .hull import EPS_HULL
 from .qpoly import QPoly, restrict_to_slice
 from .quaternion import I as UNIT_I, J as UNIT_J, K as UNIT_K, Quaternion
-from .roots import TAU_ZERO, NumericalBreakdown, zero_set, critical_points
+from .roots import TAU_ZERO, NumericalBreakdown, critical_points, zero_set
 
 
 class CLIError(Exception):
@@ -100,7 +100,7 @@ def _parse_slice(text: str) -> Quaternion:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     raw = os.environ.get("QL_SEED", "0")
     try:
@@ -134,16 +134,28 @@ def _zero_lines(zs, indent="  ") -> list[str]:
     return lines
 
 
+def _check_lines(checks) -> list[str]:
+    lines = []
+    for c in checks:
+        if c.inside:
+            lines.append(f"  inside   {fmt_q(c.point)}   "
+                         f"slack {c.certificate.slack:.3g}")
+        else:
+            lines.append(f"  OUTSIDE  {fmt_q(c.point)}   "
+                         f"distance {c.violation.distance:.3g}")
+    return lines
+
+
 def cmd_analyze(args) -> int:
     p = _load_poly(args)
-    seed = _resolve_seed(args)
     eps = args.eps_hull if args.eps_hull is not None else EPS_HULL
     zs = zero_set(p, args.tol_zero)
-    crit = critical_points(p, args.tol_zero)
-    bound = modulus_lower_bound_details(p)
-    report = None
+    bound = modulus_lower_bound_details(p, zs)
     if p.degree >= 2:
-        report = verify_gauss_lucas(p, eps, args.tol_zero, seed)
+        report = verify_gauss_lucas(p, eps, args.tol_zero)
+        crit = report.critical
+    else:
+        report, crit = None, critical_points(p, args.tol_zero)
     if args.format == "json":
         out = {"degree": p.degree,
                "zeros": zs.to_json_dict(),
@@ -160,13 +172,7 @@ def cmd_analyze(args) -> int:
     lines.extend(_zero_lines(crit))
     if report is not None:
         lines.append("hull verdicts for critical points:")
-        for c in report.checks:
-            if c.inside:
-                lines.append(f"  inside   {fmt_q(c.point)}   "
-                             f"slack {c.certificate.slack:.3g}")
-            else:
-                lines.append(f"  OUTSIDE  {fmt_q(c.point)}   "
-                             f"distance {c.violation.distance:.3g}")
+        lines.extend(_check_lines(report.checks))
         lines.append(f"verdict: "
                      f"{'verified' if report.verified else 'violated'}")
     lines.append(f"modulus lower bound: {bound['bound']:.6g} "
@@ -176,31 +182,25 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
     have_poly = args.coeffs is not None or args.input is not None
     if have_poly:
         eps = args.eps_hull if args.eps_hull is not None else EPS_HULL
         p = _load_poly(args)
-        rep = verify_gauss_lucas(p, eps, args.tol_zero, seed)
+        rep = verify_gauss_lucas(p, eps, args.tol_zero)
         if args.format == "json":
             _emit(_json_text(rep.to_json_dict()), args)
         else:
             inside = sum(1 for c in rep.checks if c.inside)
             lines = [f"verdict: {'verified' if rep.verified else 'violated'}",
                      f"degree {rep.degree}  eps_hull {eps:.3g}  "
-                     f"tau_zero {args.tol_zero:.3g}  seed {seed}",
+                     f"tau_zero {args.tol_zero:.3g}",
                      f"critical point checks: {inside} inside, "
                      f"{len(rep.checks) - inside} outside"]
-            for c in rep.checks:
-                if c.inside:
-                    lines.append(f"  inside   {fmt_q(c.point)}   "
-                                 f"slack {c.certificate.slack:.3g}")
-                else:
-                    lines.append(f"  OUTSIDE  {fmt_q(c.point)}   "
-                                 f"distance {c.violation.distance:.3g}")
+            lines.extend(_check_lines(rep.checks))
             _emit("\n".join(lines) + "\n", args)
         return 0 if rep.verified else 1
 
+    seed = _resolve_seed(args)
     eps = args.eps_hull if args.eps_hull is not None else 1e-6
     report = run_verification_campaign(seed, args.trials, eps, args.tol_zero)
     if args.format == "json":
@@ -260,7 +260,7 @@ def cmd_factor(args) -> int:
 
 def cmd_bound(args) -> int:
     p = _load_poly(args)
-    det = modulus_lower_bound_details(p)
+    det = modulus_lower_bound_details(p, zero_set(p))
     if args.format == "json":
         _emit(_json_text(det), args)
         return 0
@@ -295,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     a = subs.add_parser("analyze", help="classify the zero set and the "
                                         "critical points")
     _add_io_flags(a)
-    a.add_argument("--seed", type=int, default=None,
-                   help="default from QL_SEED, else 0")
     a.add_argument("--eps-hull", type=float, default=None)
     a.add_argument("--tol-zero", type=float, default=TAU_ZERO)
     a.set_defaults(func=cmd_analyze)
@@ -306,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "without a polynomial")
     _add_io_flags(v)
     v.add_argument("--seed", type=int, default=None,
-                   help="default from QL_SEED, else 0")
+                   help="campaign seed; default from QL_SEED, else 0")
     v.add_argument("--trials", type=int, default=100,
                    help="campaign size when no polynomial is given")
     v.add_argument("--eps-hull", type=float, default=None,

@@ -21,13 +21,7 @@ from .hull import (
     slice_route,
 )
 from .qpoly import QPoly, horner, horner_scale, restrict_to_slice, trim_rel
-from .quaternion import (
-    I as UNIT_I,
-    J as UNIT_J,
-    K as UNIT_K,
-    Quaternion,
-    random_unit_imaginary,
-)
+from .quaternion import I as UNIT_I, J as UNIT_J, K as UNIT_K, Quaternion
 from .roots import TAU_ZERO, NumericalBreakdown, ZeroSet, zero_set
 
 _SQ3 = 1.0 / math.sqrt(3.0)
@@ -70,7 +64,6 @@ class GLReport:
     checks: tuple[CriticalPointCheck, ...]
     eps_hull: float
     tau_zero: float
-    seed: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -78,80 +71,62 @@ class GLReport:
             "degree": self.degree,
             "tolerances": {"eps_hull": self.eps_hull,
                            "tau_zero": self.tau_zero},
-            "seed": self.seed,
             "zeros": self.zeros.to_json_dict(),
             "critical_points": [c.to_json_dict() for c in self.checks],
         }
 
 
-def _sphere_representatives(x: float, y: float, rng: random.Random):
-    reps = [Quaternion(x, y, 0.0, 0.0), Quaternion(x, -y, 0.0, 0.0)]
-    u = random_unit_imaginary(rng)
-    reps.append(Quaternion(x) + y * u)
-    return reps
-
-
-def _run_checks(hull_zeros: ZeroSet, crit: ZeroSet, eps_hull: float,
-                rng: random.Random):
-    """hull_membership_slice of every critical query against hull_zeros,
-    through one slice_route: one planar hull per zero set."""
-    member = slice_route(hull_zeros, eps_hull)
+def _verify(p: QPoly, hull_poly: QPoly, eps_hull: float,
+            tau_zero: float) -> GLReport:
+    """Check every zero of p' against the hull of the zero set of
+    hull_poly, through one slice_route: one planar hull per zero set."""
+    if p.is_zero or p.degree < 2:
+        raise ValueError("verification needs a polynomial of degree >= 2")
+    zeros = zero_set(hull_poly, tau_zero)
+    crit = zero_set(p.derivative(), tau_zero)
+    member = slice_route(zeros, eps_hull)
     queries = [(z.point, "isolated") for z in crit.isolated]
-    for s in crit.spheres:
-        queries += [(rep, "sphere") for rep in
-                    _sphere_representatives(s.sphere.x, s.sphere.y, rng)]
-    checks: list[CriticalPointCheck] = []
+    queries += [(Quaternion(s.sphere.x, s.sphere.y), "sphere")
+                for s in crit.spheres]
+    checks = []
     for q, kind in queries:
         res = member(q)
         if isinstance(res, Outside):
             checks.append(CriticalPointCheck(q, kind, None, res))
         else:
             checks.append(CriticalPointCheck(q, kind, res, None))
-    return checks
+    verified = all(c.inside for c in checks)
+    return GLReport(verified, p.degree, zeros, crit, tuple(checks),
+                    eps_hull, tau_zero)
 
 
 def verify_gauss_lucas(p: QPoly, eps_hull: float = EPS_HULL,
-                       tau_zero: float = TAU_ZERO,
-                       seed: int = 0) -> GLReport:
+                       tau_zero: float = TAU_ZERO) -> GLReport:
     """Check that every zero of p' lies in the convex hull of the zero
     set of the symmetrization p^s, within an eps_hull collar.
 
-    Isolated critical zeros are checked directly; critical spheres are
-    checked at x +- iy and at one randomly drawn representative, which
-    suffices because the hull of the (rotationally closed) zero set of
-    p^s meets each candidate sphere either fully or not at all.
+    Isolated critical zeros are checked directly. A critical sphere
+    [x + Iy] is checked once, at x + iy: the zero set of p^s is closed
+    under the rotations q -> u q u^-1, which fix every sphere and move
+    its points onto each other, so its hull holds either the whole
+    sphere or none of it, and every point of the sphere lies at the
+    same distance from that hull.
 
     The inclusion holds for degree 2 but not in general, so
     verified=False, with the offending points and their distances, is
     an expected outcome in degree >= 3: random star products of linear
     factors miss the hull in roughly 40% of draws.
     """
-    if p.is_zero or p.degree < 2:
-        raise ValueError("verification needs a polynomial of degree >= 2")
-    rng = random.Random(seed)
-    zeros = zero_set(p.symmetrize(), tau_zero)
-    crit = zero_set(p.derivative(), tau_zero)
-    checks = _run_checks(zeros, crit, eps_hull, rng)
-    verified = all(c.inside for c in checks)
-    return GLReport(verified, p.degree, zeros, crit, tuple(checks),
-                    eps_hull, tau_zero, seed)
+    return _verify(p, p.symmetrize(), eps_hull, tau_zero)
 
 
 def verify_real_case(p: QPoly, eps_hull: float = EPS_HULL,
-                     tau_zero: float = TAU_ZERO, seed: int = 0) -> GLReport:
+                     tau_zero: float = TAU_ZERO) -> GLReport:
     """Variant for real-coefficient p: the hull is taken over the zero
     set of p itself, matching the classical statement."""
     if not p.is_real():
         raise ValueError("verify_real_case needs real coefficients")
-    if p.is_zero or p.degree < 2:
-        raise ValueError("verification needs a polynomial of degree >= 2")
-    rng = random.Random(seed)
-    zeros = zero_set(p, tau_zero)
-    crit = zero_set(p.derivative(), tau_zero)
-    checks = _run_checks(zeros, crit, eps_hull, rng)
-    verified = all(c.inside for c in checks)
-    return GLReport(verified, p.degree, zeros, crit, tuple(checks),
-                    eps_hull, tau_zero, seed)
+    return _verify(p, p, eps_hull, tau_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +135,16 @@ def verify_real_case(p: QPoly, eps_hull: float = EPS_HULL,
 
 def _slice_critical(sp) -> list[complex]:
     """Common roots of the two component derivatives on the slice."""
-    d1 = trim_rel(np.polynomial.polynomial.polyder(np.asarray(sp.p1,
-                                                              dtype=complex)))
-    d2 = trim_rel(np.polynomial.polynomial.polyder(np.asarray(sp.p2,
-                                                              dtype=complex)))
-    if d1.size == 0 and d2.size == 0:
-        return []
-    primary, other = (d1, d2) if d1.size >= d2.size else (d2, d1)
-    if primary.size < 2:
+    d = sp.derivative()
+    d1, d2 = trim_rel(d.p1), trim_rel(d.p2)
+    primary, other = (d1, d2) if len(d1) >= len(d2) else (d2, d1)
+    if len(primary) < 2:
         return []
     out = []
     for z in np.atleast_1d(np.roots(primary[::-1])):
         z = complex(z)
-        if other.size == 0 or (abs(horner(other, z))
-                               <= 1e-8 * horner_scale(other, abs(z))):
+        if not other or (abs(horner(other, z))
+                         <= 1e-8 * horner_scale(other, abs(z))):
             out.append(z)
     out.sort(key=lambda w: (w.real, w.imag))
     return out
@@ -247,15 +218,15 @@ def _coefficient_bound(p: QPoly) -> tuple[float, int, int]:
     return best, best_n, two_m
 
 
-def modulus_lower_bound_details(p: QPoly) -> dict:
-    """The coefficient bound, with the largest zero modulus that
-    zero_set(p) observes, for comparison."""
+def modulus_lower_bound_details(p: QPoly, zeros: ZeroSet) -> dict:
+    """The coefficient bound, with the largest zero modulus in zeros,
+    the zero set of p, for comparison."""
     best, best_n, two_m = _coefficient_bound(p)
     return {
         "bound": best,
         "n": best_n,
         "sym_degree": two_m,
-        "observed_max_modulus": zero_set(p).max_modulus(),
+        "observed_max_modulus": zeros.max_modulus(),
     }
 
 
@@ -326,10 +297,10 @@ def run_verification_campaign(seed: int, trials: int,
         try:
             if factored:
                 p = random_factored_poly(rng)
-                rep = verify_gauss_lucas(p, eps_hull, tau_zero, seed=idx)
+                rep = verify_gauss_lucas(p, eps_hull, tau_zero)
             else:
                 p = random_real_poly(rng)
-                rep = verify_real_case(p, eps_hull, tau_zero, seed=idx)
+                rep = verify_real_case(p, eps_hull, tau_zero)
             if not rep.verified:
                 worst = max((c.violation.distance for c in rep.checks
                              if c.violation is not None), default=0.0)

@@ -355,9 +355,8 @@ def hull_membership_slice(q: Quaternion, zs: ZeroSet,
 
 def slice_route(zs: ZeroSet, eps_hull: float = EPS_HULL):
     """q -> hull_membership_slice(q, zs, eps_hull), with the planar hull
-    built once, each planar point x + i|Im q| decided once (x +- Iy of a
-    critical sphere share one), and only the at most 3 points of a
-    certificate lifted to quaternions."""
+    built once and only the at most 3 points of a certificate lifted to
+    quaternions."""
     if zs.is_empty():
         raise ValueError("membership in the hull of an empty zero set")
     if not zs.is_points_and_spheres():
@@ -367,7 +366,6 @@ def slice_route(zs: ZeroSet, eps_hull: float = EPS_HULL):
     pts2 = planar_points(zs)
     hull = _hull2d(pts2)
     n = len(zs.isolated)
-    decided = {}
 
     def lift(i: int, unit: Quaternion) -> Quaternion:
         x, y = pts2[i].real, pts2[i].imag
@@ -377,10 +375,7 @@ def slice_route(zs: ZeroSet, eps_hull: float = EPS_HULL):
         im = q.im_norm()
         unit = imag_unit(q) if im > 0.0 else UNIT_I
         zq = complex(q.w, im)
-        if zq not in decided:
-            decided[zq] = _member2d(zq, pts2, eps_hull * (1.0 + abs(zq)),
-                                    hull)
-        res = decided[zq]
+        res = _member2d(zq, pts2, eps_hull * (1.0 + abs(zq)), hull)
         if isinstance(res, Outside):
             return res
         pairs, slack = res

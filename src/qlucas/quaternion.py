@@ -8,8 +8,6 @@ from typing import NamedTuple
 TAU_UNIT = 1e-10
 TAU_SPHERE = 1e-8
 
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
 
 class Quaternion:
     """Element w + x i + y j + z k of the real quaternion algebra.
@@ -166,21 +164,6 @@ class TwoSphere(NamedTuple):
         """The point x + unit * y on the sphere."""
         return Quaternion(self.x, unit.x * self.y, unit.y * self.y,
                           unit.z * self.y)
-
-    def sample(self, n: int) -> list[Quaternion]:
-        """n deterministic points on the sphere (golden-angle spiral)."""
-        if self.y == 0.0:
-            return [Quaternion(self.x)]
-        pts = []
-        for k in range(n):
-            c = 1.0 - (2.0 * k + 1.0) / n
-            r = math.sqrt(max(0.0, 1.0 - c * c))
-            th = k * _GOLDEN_ANGLE
-            pts.append(Quaternion(self.x,
-                                  self.y * r * math.cos(th),
-                                  self.y * r * math.sin(th),
-                                  self.y * c))
-        return pts
 
 
 def imag_unit(q: Quaternion, tol: float = TAU_UNIT) -> Quaternion:

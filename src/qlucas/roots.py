@@ -54,14 +54,12 @@ class RootCluster:
     residual: float
 
 
-def _derivs(coeffs: np.ndarray) -> list[list[complex]]:
+def _derivs(coeffs: list[complex]) -> list[list[complex]]:
     """All derivatives as lists of Python numbers, which Horner's rule
     runs through faster than numpy scalars."""
-    out = [coeffs.tolist()]
-    cur = coeffs
-    while len(cur) > 1:
-        cur = cur[1:] * np.arange(1, len(cur))
-        out.append(cur.tolist())
+    out = [coeffs]
+    while len(out[-1]) > 1:
+        out.append([n * c for n, c in enumerate(out[-1]) if n >= 1])
     out.append([0j])
     return out
 
@@ -196,7 +194,7 @@ def complex_roots(coeffs, tau_cluster: float = TAU_CLUSTER,
     else:
         raw = np.roots(c[::-1])
     raw = np.atleast_1d(raw).astype(complex)
-    derivs = _derivs(c)
+    derivs = _derivs(c.tolist())
     mags = [abs(a) for a in derivs[0]]
 
     def residual(z):
@@ -301,12 +299,6 @@ class ZeroSet:
     def is_points_and_spheres(self, tol: float = TAU_UNIT) -> bool:
         """True when every isolated zero is real (no off-axis points)."""
         return all(z.point.im_norm() <= tol for z in self.isolated)
-
-    def points(self, samples_per_sphere: int = 50) -> list[Quaternion]:
-        pts = [z.point for z in self.isolated]
-        for s in self.spheres:
-            pts.extend(s.sphere.sample(samples_per_sphere))
-        return pts
 
     def max_modulus(self) -> float:
         vals = [z.point.norm() for z in self.isolated]

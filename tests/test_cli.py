@@ -120,6 +120,21 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert "QL_SEED" in err
 
 
+def test_seed_is_a_campaign_flag(capsys, monkeypatch):
+    # one polynomial is verified without randomness: analyze takes no
+    # seed, and QL_SEED leaves the single-polynomial report unchanged
+    assert run(capsys, "analyze", "--coeffs", QUADRATIC, "--seed", "1")[0] \
+        == 2
+    monkeypatch.delenv("QL_SEED", raising=False)
+    code, plain, _ = run(capsys, "verify", "--coeffs", VIOLATOR,
+                         "--format", "json")
+    assert code == 1
+    assert "seed" not in json.loads(plain)
+    monkeypatch.setenv("QL_SEED", "7")
+    assert run(capsys, "verify", "--coeffs", VIOLATOR, "--format",
+               "json") == (1, plain, "")
+
+
 def test_factor_json(capsys):
     code, out, _ = run(capsys, "factor", "--coeffs", QUADRATIC,
                        "--format", "json")

@@ -12,7 +12,9 @@ from qlucas.gauss_lucas import (
 )
 from qlucas.hull import HullCertificate, Outside, hull_membership_slice
 from qlucas.qpoly import QPoly
-from qlucas.quaternion import I, J, K, Quaternion, imag_unit
+from qlucas.quaternion import (
+    I, J, K, Quaternion, imag_unit, random_unit_imaginary,
+)
 from qlucas.roots import NumericalBreakdown, zero_set
 
 COUNTEREXAMPLE = QPoly([Quaternion(0, 0, 1, 0),
@@ -139,7 +141,7 @@ def test_slice_equivalence_sees_the_violation_on_its_own_slice():
 
 def test_modulus_bound_linear_oracle():
     p = QPoly([Quaternion(-3.0, -4.0), Quaternion(1.0)])
-    det = modulus_lower_bound_details(p)
+    det = modulus_lower_bound_details(p, zero_set(p))
     assert det["bound"] == pytest.approx(3.0, abs=1e-12)
     assert det["sym_degree"] == 2
     assert det["observed_max_modulus"] == pytest.approx(5.0, abs=1e-9)
@@ -166,7 +168,8 @@ def test_modulus_bound_never_exceeds_largest_zero():
 def test_modulus_bound_finds_no_roots(monkeypatch):
     rng = random.Random(19)
     polys = [random_factored_poly(rng, (2, 5), 3.0) for _ in range(20)]
-    want = [modulus_lower_bound_details(p)["bound"] for p in polys]
+    want = [modulus_lower_bound_details(p, zero_set(p))["bound"]
+            for p in polys]
 
     def no_roots(*args, **kwargs):
         raise AssertionError("the coefficient bound called zero_set")
@@ -178,7 +181,7 @@ def test_modulus_bound_finds_no_roots(monkeypatch):
 def test_modulus_bound_quadratic_sphere():
     # q^2 + 1: symmetrization (q^2+1)^2, bound from the middle terms
     p = QPoly([1.0, 0.0, 1.0])
-    det = modulus_lower_bound_details(p)
+    det = modulus_lower_bound_details(p, zero_set(p))
     assert det["observed_max_modulus"] == pytest.approx(1.0, abs=1e-9)
     assert det["bound"] <= 1.0 + 1e-12
 
@@ -231,8 +234,9 @@ def seeded_verifications(count):
         for draw, verify in ((random_factored_poly, verify_gauss_lucas),
                              (random_real_poly, verify_real_case)):
             p = draw(rng)
+            rng.randrange(1000)     # unused; keeps the later draws fixed
             try:
-                out.append((p, verify(p, seed=rng.randrange(1000))))
+                out.append((p, verify(p)))
             except NumericalBreakdown:
                 pass
     return out
@@ -274,3 +278,41 @@ def test_checks_match_fresh_hull_queries():
                 assert len(c.certificate.points) <= 3
                 assert c.certificate.check(
                     c.point, rep.eps_hull * (1.0 + c.point.norm()))
+
+
+def test_each_critical_sphere_is_checked_once_for_all_its_points():
+    # q^3 + 3q has the critical sphere [I] (p' = 3(q^2 + 1)); the seeded
+    # real draws add more. Every point of a critical sphere lies at one
+    # distance from the rotation-invariant hull, so the single check at
+    # x + iy must agree with fresh queries at x - iy, exactly, and at
+    # random points of the sphere, up to the rounding of |Im q|.
+    def distance(res):
+        return res.distance if isinstance(res, Outside) else res.slack
+
+    rng = random.Random(227)
+    polys = [QPoly([0.0, 3.0, 0.0, 1.0])]
+    polys += [random_real_poly(rng) for _ in range(40)]
+    spheres = 0
+    for p in polys:
+        for rep in (verify_gauss_lucas(p), verify_real_case(p)):
+            sphere_checks = [c for c in rep.checks if c.kind == "sphere"]
+            assert len(sphere_checks) == len(rep.critical.spheres)
+            for c, s in zip(sphere_checks, rep.critical.spheres):
+                x, y = s.sphere
+                assert c.point == Quaternion(x, y)
+                res = c.certificate or c.violation
+                mirror = hull_membership_slice(Quaternion(x, -y), rep.zeros,
+                                               rep.eps_hull)
+                assert type(mirror) is type(res)
+                assert distance(mirror) == distance(res)
+                for _ in range(8):
+                    q = s.sphere.representative(random_unit_imaginary(rng))
+                    fresh = hull_membership_slice(q, rep.zeros, rep.eps_hull)
+                    assert type(fresh) is type(res)
+                    assert distance(fresh) == pytest.approx(
+                        distance(res), rel=1e-9, abs=1e-15 * (1.0 + y))
+                    if c.inside:
+                        assert fresh.check(
+                            q, rep.eps_hull * (1.0 + q.norm()))
+                spheres += 1
+    assert spheres >= 40

@@ -26,6 +26,24 @@ def rand_q(rng, r=2.0):
     return Quaternion(*(rng.uniform(-r, r) for _ in range(4)))
 
 
+_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
+
+def sampled_points(zs, n):
+    """The isolated zeros, then n points of each zero sphere [x + Iy] on
+    a golden-angle spiral."""
+    pts = [z.point for z in zs.isolated]
+    for s in zs.spheres:
+        x, y = s.sphere
+        for k in range(n):
+            c = 1.0 - (2.0 * k + 1.0) / n
+            r = math.sqrt(max(0.0, 1.0 - c * c))
+            th = k * _GOLDEN_ANGLE
+            pts.append(Quaternion(x, y * r * math.cos(th),
+                                  y * r * math.sin(th), y * c))
+    return pts
+
+
 def planar_weights(res, pts, z):
     """Unpack a planar membership result and check its arithmetic."""
     assert not isinstance(res, Outside)
@@ -374,7 +392,7 @@ def test_slice_and_4d_routes_agree():
         deg = rng.randint(2, 6)
         coeffs = [rng.uniform(-3, 3) for _ in range(deg)] + [1.0]
         zs = make_zero_set(coeffs)
-        pts4 = zs.points(samples_per_sphere=n_sphere)
+        pts4 = sampled_points(zs, n_sphere)
         # sampling a sphere with n points leaves gaps of order 2 pi y / sqrt(n)
         gap = max((2 * math.pi * s.sphere.y / math.sqrt(n_sphere)
                    for s in zs.spheres), default=0.0)

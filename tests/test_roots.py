@@ -434,7 +434,6 @@ def test_zero_set_spherical_multiplicity():
     assert len(zs.spheres) == 1
     assert zs.spheres[0].multiplicity == 2
     assert zs.is_points_and_spheres()
-    assert len(zs.points(samples_per_sphere=10)) == 10
 
 
 def test_zero_set_factored_counting_invariant():
