@@ -9,8 +9,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .hull import (
     EPS_HULL,
     HullCertificate,
@@ -22,7 +20,8 @@ from .hull import (
 )
 from .qpoly import QPoly, horner, horner_scale, restrict_to_slice, trim_rel
 from .quaternion import I as UNIT_I, J as UNIT_J, K as UNIT_K, Quaternion
-from .roots import TAU_ZERO, NumericalBreakdown, ZeroSet, zero_set
+from .roots import (TAU_ZERO, NumericalBreakdown, ZeroSet, _eigen_roots,
+                    zero_set)
 
 _SQ3 = 1.0 / math.sqrt(3.0)
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -141,8 +140,7 @@ def _slice_critical(sp) -> list[complex]:
     if len(primary) < 2:
         return []
     out = []
-    for z in np.atleast_1d(np.roots(primary[::-1])):
-        z = complex(z)
+    for z in _eigen_roots(primary):
         if not other or (abs(horner(other, z))
                          <= 1e-8 * horner_scale(other, abs(z))):
             out.append(z)

@@ -3,19 +3,23 @@
 P(q) = sum_n q^n a_n with the coefficients a_n to the right of the
 powers. The ring product is the star product (coefficient convolution),
 which agrees with pointwise multiplication only for real coefficients.
+
+Storage: `parts` holds the w, x, y and z parts of the coefficients as
+four tuples of floats (the four real component polynomials of P), and
+`norms` the coefficient norms, computed once at construction. The
+kernels run on these floats with no Hamilton product; `coeffs`, the
+public tuple of Quaternion values, is built only when a caller reads it.
+Tuples are built from lists: tuple(iterator) resizes, bloating free lists.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
-from .quaternion import (
-    Quaternion,
-    TwoSphere,
-    _coerce,
-    orthogonal_unit,
-)
+from .quaternion import Quaternion, TwoSphere, _coerce, orthogonal_unit
 
 TAU_TRIM_REL = 1e-12
 TAU_REAL = 1e-12
@@ -29,7 +33,7 @@ class QPoly:
     The zero polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("parts", "norms", "_coeffs")
 
     def __init__(self, coeffs: Sequence = ()):
         qs = []
@@ -37,16 +41,32 @@ class QPoly:
             q = _coerce(c)
             if q is None:
                 raise TypeError(f"coefficient {c!r} is not a quaternion or real")
-            qs.append(q)
-        self.coeffs = tuple(trim_rel(qs, Quaternion.norm))
+            qs.append((q.w, q.x, q.y, q.z))
+        self._store(*(zip(*qs) if qs else ((), (), (), ())))
+
+    def _store(self, w, x, y, z, norms=None) -> "QPoly":
+        """Trim by the norms unless given (they are then already trimmed)."""
+        if norms is None:
+            norms = tuple(trim_rel([math.sqrt(a * a + b * b + c * c + d * d)
+                                    for a, b, c, d in zip(w, x, y, z)]))
+        self.parts = tuple([tuple(c)[:len(norms)] for c in (w, x, y, z)])
+        self.norms = norms
+        self._coeffs = None
+        return self
+
+    @property
+    def coeffs(self) -> tuple[Quaternion, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple([Quaternion(*c) for c in zip(*self.parts)])
+        return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.norms) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.norms
 
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)!r})"
@@ -54,22 +74,14 @@ class QPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.parts == other.parts
 
     def __add__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        out = []
-        for k in range(n):
-            s = Quaternion()
-            if k < len(a):
-                s = s + a[k]
-            if k < len(b):
-                s = s + b[k]
-            out.append(s)
-        return QPoly(out)
+        pairs = (zip_longest(u, v, fillvalue=0.0)
+                 for u, v in zip(self.parts, other.parts))
+        return _qpoly(*([0.0 + a + b for a, b in c] for c in pairs))
 
     def __sub__(self, other):
         if not isinstance(other, QPoly):
@@ -77,7 +89,7 @@ class QPoly:
         return self + (-other)
 
     def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
+        return _qpoly(*([-v for v in c] for c in self.parts), self.norms)
 
     def __mul__(self, other):
         if isinstance(other, QPoly):
@@ -108,21 +120,30 @@ class QPoly:
 
     def conjugate(self) -> "QPoly":
         """Coefficientwise quaternionic conjugate P^c."""
-        return QPoly([c.conjugate() for c in self.coeffs])
+        w, x, y, z = self.parts
+        return _qpoly(w, *([-v for v in c] for c in (x, y, z)), self.norms)
 
     def symmetrize(self) -> "QPoly":
-        """P^s = P * P^c. Real coefficients up to rounding; the imaginary
-        residue is kept (not snapped) so it can be measured."""
-        return star_mul(self, self.conjugate())
+        """P^s = P * P^c, real by construction: coefficient n is
+        sum_{s+k=n} <a_s, a_k> in star_mul's order (s outer, k inner), so
+        it is bit for bit the real part of star_mul(self, self.conjugate())."""
+        cs = list(zip(*self.parts))
+        out = [0.0] * max(2 * len(cs) - 1, 0)
+        for s, (aw, ax, ay, az) in enumerate(cs):
+            for n, (bw, bx, by, bz) in enumerate(cs, s):
+                out[n] += aw * bw + ax * bx + ay * by + az * bz
+        return _qpoly(out, *[(0.0,) * len(out)] * 3)
 
     def derivative(self) -> "QPoly":
-        return QPoly([n * c for n, c in enumerate(self.coeffs) if n >= 1])
+        return _qpoly(*([n * v for n, v in enumerate(c) if n >= 1]
+                        for c in self.parts))
 
     def max_coeff_norm(self) -> float:
-        return max((c.norm() for c in self.coeffs), default=0.0)
+        return max(self.norms, default=0.0)
 
     def max_imag_norm(self) -> float:
-        return max((c.im_norm() for c in self.coeffs), default=0.0)
+        return max((math.sqrt(x * x + y * y + z * z)
+                    for x, y, z in zip(*self.parts[1:])), default=0.0)
 
     def is_real(self, tol: float | None = None) -> bool:
         if tol is None:
@@ -130,18 +151,22 @@ class QPoly:
         return self.max_imag_norm() <= tol
 
     def real_coeffs(self) -> list[float]:
-        return [c.w for c in self.coeffs]
+        return list(self.parts[0])
 
     def eval_scale(self, qnorm: float) -> float:
         """scale(P, q) = sum |a_n| (1 + |q|)^n, the residual yardstick."""
-        return horner_scale(self.coeffs, qnorm)
+        return horner_scale(self.norms, qnorm)
 
     def to_json_dict(self) -> dict:
-        return {"coeffs": [c.to_list() for c in self.coeffs]}
+        return {"coeffs": [list(c) for c in zip(*self.parts)]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QPoly":
         return cls([Quaternion.from_list(c) for c in data["coeffs"]])
+
+
+def _qpoly(w, x, y, z, norms=None) -> QPoly:
+    return QPoly.__new__(QPoly)._store(w, x, y, z, norms)
 
 
 def trim_rel(coeffs, mag=abs):
@@ -185,24 +210,30 @@ def sphere_values(p: QPoly, x: float,
     """
     z = complex(x, y)
     aw = ax = ay = az = 0j
-    for c in reversed(p.coeffs):
-        aw = aw * z + c.w
-        ax = ax * z + c.x
-        ay = ay * z + c.y
-        az = az * z + c.z
+    for cw, cx, cy, cz in zip(*map(reversed, p.parts)):
+        aw = aw * z + cw
+        ax = ax * z + cx
+        ay = ay * z + cy
+        az = az * z + cz
     return (Quaternion(aw.real, ax.real, ay.real, az.real),
             Quaternion(aw.imag, ax.imag, ay.imag, az.imag))
 
 
 def star_mul(p: QPoly, q: QPoly) -> QPoly:
-    """Star product: coefficient n of the result is sum_{s+k=n} a_s b_k."""
+    """Star product: coefficient n of the result is sum_{s+k=n} a_s b_k,
+    the Hamilton products written out on the float parts."""
     if p.is_zero or q.is_zero:
         return QPoly()
-    out = [Quaternion() for _ in range(len(p.coeffs) + len(q.coeffs) - 1)]
-    for s, a in enumerate(p.coeffs):
-        for k, b in enumerate(q.coeffs):
-            out[s + k] = out[s + k] + a * b
-    return QPoly(out)
+    n = len(p.norms) + len(q.norms) - 1
+    ow, ox, oy, oz = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    bs = list(zip(*q.parts))
+    for s, (aw, ax, ay, az) in enumerate(zip(*p.parts)):
+        for t, (bw, bx, by, bz) in enumerate(bs, s):
+            ow[t] += aw * bw - ax * bx - ay * by - az * bz
+            ox[t] += aw * bx + ax * bw + ay * bz - az * by
+            oy[t] += aw * by - ax * bz + ay * bw + az * bx
+            oz[t] += aw * bz + ax * by - ay * bx + az * bw
+    return _qpoly(ow, ox, oy, oz)
 
 
 def pointwise_star_eval(p: QPoly, q: QPoly, at: Quaternion) -> Quaternion:
@@ -218,8 +249,8 @@ def pointwise_star_eval(p: QPoly, q: QPoly, at: Quaternion) -> Quaternion:
     s = 0.0
     power = 1.0
     r = at.norm()
-    for c in p.coeffs:
-        s += c.norm() * power
+    for c in p.norms:
+        s += c * power
         power *= r
     if v.norm() <= 1e-10 * (1.0 + s):
         return Quaternion()
@@ -251,9 +282,7 @@ def left_divide_linear(p: QPoly, alpha: Quaternion) -> tuple[QPoly, Quaternion]:
 
 def characteristic_poly(s: TwoSphere) -> QPoly:
     """Real quadratic q^2 - 2x q + (x^2 + y^2) vanishing exactly on [s]."""
-    return QPoly([Quaternion(s.x * s.x + s.y * s.y),
-                  Quaternion(-2.0 * s.x),
-                  Quaternion(1.0)])
+    return QPoly([s.x * s.x + s.y * s.y, -2.0 * s.x, 1.0])
 
 
 @dataclass(frozen=True)
@@ -293,13 +322,11 @@ def restrict_to_slice(p: QPoly, unit: Quaternion) -> SlicePoly:
     orthonormal real basis {1, I, J, IJ} of the quaternions."""
     uj = orthogonal_unit(unit)
     uij = unit * uj
-    p1 = []
-    p2 = []
-    for a in p.coeffs:
-        u0 = a.w
-        u1 = a.x * unit.x + a.y * unit.y + a.z * unit.z
-        u2 = a.x * uj.x + a.y * uj.y + a.z * uj.z
-        u3 = a.x * uij.x + a.y * uij.y + a.z * uij.z
-        p1.append(complex(u0, u1))
-        p2.append(complex(u2, u3))
+    w, x, y, z = p.parts
+
+    def along(u):
+        return [a * u.x + b * u.y + c * u.z for a, b, c in zip(x, y, z)]
+
+    p1 = [complex(a, b) for a, b in zip(w, along(unit))]
+    p2 = [complex(a, b) for a, b in zip(along(uj), along(uij))]
     return SlicePoly(unit, uj, tuple(p1), tuple(p2))

@@ -16,8 +16,7 @@ from .quaternion import (
     TwoSphere,
     is_unit_imaginary,
 )
-from .qpoly import (QPoly, TAU_REAL, horner, horner_scale, sphere_values,
-                    trim_rel)
+from .qpoly import QPoly, horner, horner_scale, sphere_values, trim_rel
 
 TAU_CLUSTER = 1e-6
 TAU_ROOT = 1e-8
@@ -182,25 +181,20 @@ def complex_roots(coeffs, tau_cluster: float = TAU_CLUSTER,
     to exact conjugates with equal residuals: _polish_real pairs them
     first, then polishes one of each pair and snaps near-axis centers.
     """
-    c = np.asarray(trim_rel(list(coeffs)), dtype=complex)
-    if c.size < 2:
+    c = trim_rel(list(coeffs))
+    if len(c) < 2:
         raise ValueError("root finding needs degree >= 1 after trimming")
-    deg = c.size - 1
-    top = float(np.max(np.abs(c)))
-    is_real = float(np.max(np.abs(c.imag))) <= 1e-13 * top
-    if is_real:
-        c = c.real.astype(float) + 0j
-        raw = np.roots(c.real[::-1])
-    else:
-        raw = np.roots(c[::-1])
-    raw = np.atleast_1d(raw).astype(complex)
-    derivs = _derivs(c.tolist())
+    deg = len(c) - 1
+    is_real = max(abs(a.imag) for a in c) <= 1e-13 * max(map(abs, c))
+    c = [complex(a.real + 0.0) if is_real else complex(a) for a in c]
+    raw = _eigen_roots([a.real for a in c] if is_real else c)
+    derivs = _derivs(c)
     mags = [abs(a) for a in derivs[0]]
 
     def residual(z):
         return abs(horner(derivs[0], z)) / horner_scale(mags, abs(z))
 
-    items = sorted(([complex(z), 1] for z in raw),
+    items = sorted(([z, 1] for z in raw),
                    key=lambda it: (it[0].real, it[0].imag))
     clusters = _agglomerate(items, derivs, tau_cluster)
     if is_real:
@@ -221,6 +215,19 @@ def complex_roots(coeffs, tau_cluster: float = TAU_CLUSTER,
                                  degree=deg,
                                  found=sum(r.multiplicity for r in out))
     return out
+
+
+def _eigen_roots(c: list) -> list[complex]:
+    """np.roots(c[::-1]) for ascending c with c[-1] != 0, bit for bit
+    and without its fixed overhead: the same companion matrix's
+    eigenvalues, then one zero root per zero constant term."""
+    k = next(i for i, a in enumerate(c) if a != 0)
+    n = len(c) - 1 - k
+    if n == 0:
+        return [0j] * k
+    a = np.eye(n, k=-1, dtype=type(c[-1]))
+    a[0] = -np.array(c[k:-1][::-1]) / c[-1]
+    return [complex(z) for z in np.linalg.eigvals(a).tolist()] + [0j] * k
 
 
 def _polish_real(clusters, derivs, residual):
@@ -374,14 +381,7 @@ def zero_set(p: QPoly, tau_zero: float = TAU_ZERO) -> ZeroSet:
     if p.is_real():
         return _zero_set_real(p, tau_zero)
 
-    ps = p.symmetrize()
-    resid = ps.max_imag_norm()
-    bound = TAU_REAL * (1.0 + p.max_coeff_norm() ** 2)
-    if resid > bound:
-        raise NumericalBreakdown(
-            "symmetrization has a non-real coefficient residue",
-            residue=resid, bound=bound)
-    clusters = complex_roots(ps.real_coeffs())
+    clusters = complex_roots(p.symmetrize().real_coeffs())
 
     isolated: list[IsolatedZero] = []
     spheres: list[SphereZero] = []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qlucas.quaternion import I, J, K, Quaternion, random_unit_imaginary
 from qlucas.qpoly import (
     QPoly, SlicePoly, characteristic_poly, left_divide_linear,
-    pointwise_star_eval, restrict_to_slice, star_mul,
+    pointwise_star_eval, restrict_to_slice, sphere_values, star_mul,
 )
 
 
@@ -263,3 +263,36 @@ def test_eval_scale_dominates_value():
         p = rand_poly(rng)
         q = rand_q(rng, 3.0)
         assert p.evaluate(q).norm() <= p.eval_scale(q.norm()) + 1e-12
+
+
+radius = st.floats(min_value=1e-2, max_value=1e3)
+unit_coeff = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0,
+                                   allow_nan=False)] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(unit_coeff, min_size=1, max_size=17), r=radius)
+def test_symmetrize_is_the_real_part_of_the_star_product(coeffs, r):
+    p = QPoly([Quaternion(*(r * v for v in c)) for c in coeffs])
+    full = star_mul(p, p.conjugate())
+    ps = p.symmetrize()
+    assert repr(ps.real_coeffs()) == repr(full.real_coeffs())
+    assert all(repr(v) == "0.0" for part in ps.parts[1:] for v in part)
+
+
+def test_kernels_perform_no_hamilton_product(monkeypatch):
+    rng = random.Random(12)
+    polys = [rand_poly(rng, 6) for _ in range(20)]
+
+    def refuse(*_):
+        raise AssertionError("Hamilton product in a polynomial kernel")
+
+    monkeypatch.setattr(Quaternion, "__mul__", refuse)
+    monkeypatch.setattr(Quaternion, "__rmul__", refuse)
+    for p in polys:
+        p.symmetrize()
+        p.derivative()
+        p.conjugate()
+        star_mul(p, p)
+        sphere_values(p, 0.3, 1.7)
+        p.eval_scale(2.5)

@@ -279,6 +279,29 @@ def test_components_early_stop_keeps_every_edge(case):
     assert roots_mod._components(items, r) == components_all_pairs(items, r)
 
 
+coef = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+nonzero = coef.filter(lambda v: abs(v) >= 1e-3)
+
+
+@st.composite
+def companion_inputs(draw):
+    """Ascending coefficients, real or complex, nonzero leading term,
+    with zero, one or more zero constant terms (zero roots)."""
+    body = draw(st.lists(coef, min_size=0, max_size=15))
+    c = [0.0] * draw(st.integers(0, 3)) + body + [draw(nonzero)]
+    if draw(st.booleans()):
+        c = [complex(v, draw(coef)) if v else 0j for v in c[:-1]] + [
+            complex(c[-1], draw(coef))]
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=companion_inputs())
+def test_companion_roots_are_np_roots_bit_for_bit(c):
+    want = [complex(z) for z in np.roots(c[::-1])]
+    assert repr(roots_mod._eigen_roots(c)) == repr(want)
+
+
 def test_degenerate_inputs_raise():
     with pytest.raises(ValueError):
         complex_roots([])
