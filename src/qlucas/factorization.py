@@ -1,17 +1,30 @@
 """Spectral factorization of nonnegative real-coefficient polynomials
-and the sampled check of the slice product identity."""
+and the sampled check of the slice product identity. The kernels run on
+lists of Python complex numbers, with one convolution for every product;
+only the ndarray results of slice_symmetrization and product_coeffs are
+numpy."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
-from .qpoly import SlicePoly, horner, trim_rel
+from .qpoly import SlicePoly, _cpoly_der, horner, trim_rel
 from .roots import NumericalBreakdown, complex_roots
 
 TAU_FACTOR = 1e-8
+
+
+def _mul(a, b) -> list:
+    """Ascending coefficients of the product of two polynomials."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for s, x in enumerate(a):
+        for n, y in enumerate(b, s):
+            out[n] += x * y
+    return out
 
 
 @dataclass(frozen=True)
@@ -29,8 +42,8 @@ class MFactor:
         return tuple(c.conjugate() for c in self.m_coeffs)
 
     def product_coeffs(self) -> np.ndarray:
-        m = np.asarray(self.m_coeffs, dtype=complex)
-        return npp.polymul(m, np.conj(m)).real
+        m = self.m_coeffs
+        return np.array([c.real for c in _mul(m, [c.conjugate() for c in m])])
 
     def __call__(self, z: complex) -> complex:
         return horner(self.m_coeffs, z)
@@ -47,25 +60,25 @@ def fejer_riesz_factor(q_coeffs, tau_factor: float = TAU_FACTOR) -> MFactor:
     multiplicity all mean Q takes negative values and there is no such
     factorization.
     """
-    q = np.asarray(list(q_coeffs), dtype=complex)
-    if q.size == 0 or not np.any(q):
+    q = [complex(c) for c in q_coeffs]
+    if not any(q):
         raise ValueError("cannot factor the zero polynomial")
-    top = float(np.max(np.abs(q)))
-    if float(np.max(np.abs(q.imag))) > 1e-13 * top:
+    top = max(map(abs, q))
+    if max(abs(c.imag) for c in q) > 1e-13 * top:
         raise ValueError("factorization input must have real coefficients")
-    q = trim_rel(q.real.astype(float))
+    q = trim_rel([c.real for c in q])
 
-    if q.size == 1:
-        c = float(q[0])
+    if len(q) == 1:
+        c = q[0]
         if c <= 0.0:
             raise NumericalBreakdown(
                 "constant polynomial is not positive", value=c)
         return MFactor((complex(c) ** 0.5,), 0.0)
-    deg = q.size - 1
+    deg = len(q) - 1
     if deg % 2:
         raise NumericalBreakdown(
             "odd degree admits no half-degree factorization", degree=deg)
-    lc = float(q[-1])
+    lc = q[-1]
     if lc <= 0.0:
         raise NumericalBreakdown(
             "negative leading coefficient, polynomial is negative at "
@@ -81,19 +94,18 @@ def fejer_riesz_factor(q_coeffs, tau_factor: float = TAU_FACTOR) -> MFactor:
                     "odd real root multiplicity, polynomial changes sign",
                     root=cl.center.real, multiplicity=cl.multiplicity)
             roots_m.extend([cl.center] * (cl.multiplicity // 2))
-    m = npp.polyfromroots(roots_m).astype(complex) * np.sqrt(lc)
+    m = [complex(math.sqrt(lc))]
+    for r in roots_m:
+        m = _mul(m, [-r, 1.0])
 
-    prod = npp.polymul(m, np.conj(m))
-    width = max(prod.size, q.size)
-    diff = np.zeros(width, dtype=complex)
-    diff[:prod.size] += prod
-    diff[:q.size] -= q
-    residual = float(np.max(np.abs(diff))) / (1.0 + float(np.max(np.abs(q))))
+    prod = _mul(m, [c.conjugate() for c in m])
+    diff = [a - b for a, b in zip_longest(prod, q, fillvalue=0.0)]
+    residual = max(map(abs, diff)) / (1.0 + max(map(abs, q)))
     if residual > tau_factor:
         raise NumericalBreakdown(
             "reconstructed product does not match the input",
             residual=residual)
-    return MFactor(tuple(complex(c) for c in m), residual)
+    return MFactor(tuple(m), residual)
 
 
 def check_l_identity(p1, p2, m_coeffs, z_samples,
@@ -110,22 +122,19 @@ def check_l_identity(p1, p2, m_coeffs, z_samples,
     L + L^c = Q' = N + N^c with N = M' conj(M(conj .)), since both
     sides are the derivative of Q.
     """
-    p1 = np.asarray(list(p1), dtype=complex)
-    p2 = np.asarray(list(p2), dtype=complex)
-    m = np.asarray(list(m_coeffs), dtype=complex)
-    d1 = npp.polyder(p1) if p1.size > 1 else np.zeros(1, dtype=complex)
-    d2 = npp.polyder(p2) if p2.size > 1 else np.zeros(1, dtype=complex)
-    dm = npp.polyder(m) if m.size > 1 else np.zeros(1, dtype=complex)
+    p1, p2, m = ([complex(c) for c in a] for a in (p1, p2, m_coeffs))
+    d1, d2, dm = (list(_cpoly_der(a)) or [0j] for a in (p1, p2, m))
+    c1, c2, cm = ([c.conjugate() for c in a] for a in (p1, p2, m))
 
     def mag(coeffs, r):
         base = max(1.0, r)
-        return float(sum(abs(c) * base ** n for n, c in enumerate(coeffs)))
+        return sum(abs(c) * base ** n for n, c in enumerate(coeffs))
 
     for z in z_samples:
         z = complex(z)
-        lhs = z * (horner(d1, z) * horner(np.conj(p1), z)
-                   + horner(d2, z) * horner(np.conj(p2), z))
-        rhs = z * horner(dm, z) * horner(np.conj(m), z)
+        lhs = z * (horner(d1, z) * horner(c1, z)
+                   + horner(d2, z) * horner(c2, z))
+        rhs = z * horner(dm, z) * horner(cm, z)
         r = abs(z)
         scale = 1.0 + r * (mag(d1, r) * mag(p1, r) + mag(d2, r) * mag(p2, r)
                            + mag(dm, r) * mag(m, r))
@@ -137,16 +146,11 @@ def check_l_identity(p1, p2, m_coeffs, z_samples,
 def slice_symmetrization(sp: SlicePoly) -> np.ndarray:
     """Real coefficients of P1 conj-reflect(P1) + P2 conj-reflect(P2),
     the restriction of the symmetrization to the slice."""
-    p1 = np.asarray(sp.p1, dtype=complex)
-    p2 = np.asarray(sp.p2, dtype=complex)
-    width = 1
-    parts = []
-    for p in (p1, p2):
-        if p.size and np.any(p):
-            prod = npp.polymul(p, np.conj(p))
-            parts.append(prod)
-            width = max(width, prod.size)
-    out = np.zeros(width, dtype=complex)
-    for prod in parts:
-        out[:prod.size] += prod
-    return out.real
+    out = [0.0]
+    for p in (sp.p1, sp.p2):
+        if any(p):
+            prod = _mul(p, [c.conjugate() for c in p])
+            out += [0.0] * (len(prod) - len(out))
+            for n, c in enumerate(prod):
+                out[n] += c.real
+    return np.array(out)

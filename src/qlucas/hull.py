@@ -9,7 +9,9 @@ the question is exact planar geometry. Otherwise the hull is a
 kernel: the Gilbert-Johnson-Keerthi distance algorithm (IEEE J. Robot.
 Autom. 4(2), 1988) over the closed-form support map of points and
 spheres, with Wolfe's minor cycle (Math. Prog. 11, 1976) as the distance
-subalgorithm on at most five support points. No sphere is sampled."""
+subalgorithm on at most five support points. No sphere is sampled. The
+kernel runs on 4-tuples of Python floats, not numpy arrays: at most four
+vectors in R^4 make numpy's fixed cost per call dominate."""
 
 from __future__ import annotations
 
@@ -17,9 +19,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .quaternion import I as UNIT_I, Quaternion, TwoSphere, imag_unit
+from .quaternion import I as UNIT_I, Quaternion, TwoSphere
 from .roots import NumericalBreakdown, ZeroSet
 
 EPS_HULL = 1e-8
@@ -27,6 +27,7 @@ EPS_HULL = 1e-8
 # problem, 1 plus the largest modulus among the query and the zero set
 _GAP_REL = 1e-10
 _MAX_ITER = 200
+_ULP = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -199,40 +200,72 @@ def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
-def _affine_min(verts: np.ndarray) -> np.ndarray:
-    """Weights, summing to 1, of the point of the affine hull of the
-    rows of verts nearest the origin. Least squares on the differences
-    from the first row keeps that point accurate when rows nearly
-    coincide, as support points on a sphere do near convergence."""
-    if len(verts) == 1:
-        return np.ones(1)
-    base = verts[0]
-    mu = np.linalg.lstsq((verts[1:] - base).T, -base, rcond=None)[0]
-    return np.concatenate(([1.0 - mu.sum()], mu))
+def _orthogonalize(v, basis):
+    """v minus its projection on the orthonormal basis, Gram-Schmidt run
+    twice, and the coefficients removed."""
+    v0, v1, v2, v3 = v
+    coef = [0.0] * len(basis)
+    for _ in range(2):
+        for i, (u0, u1, u2, u3) in enumerate(basis):
+            c = u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3
+            coef[i] += c
+            v0, v1, v2, v3 = v0 - c * u0, v1 - c * u1, v2 - c * u2, v3 - c * u3
+    return (v0, v1, v2, v3), coef
 
 
-def _nearest_face(verts: np.ndarray, lam: np.ndarray):
+def _affine_min(verts):
+    """Weights, summing to 1, of the point of the affine hull of verts
+    (4-tuples) nearest the origin, and an orthonormal basis of the span
+    of the differences verts[k] - verts[0].
+
+    Least squares on those differences keeps the point accurate when
+    vertices nearly coincide, as support points on a sphere do near
+    convergence. It is solved by a QR factorization, Gram-Schmidt run
+    twice, and back substitution. A difference whose orthogonal part is
+    within rounding of zero, at most 4 ulp of the largest difference (the
+    cutoff of numpy's lstsq), is dependent: it gets weight 0 and no basis
+    vector, so Wolfe's cycle drops its vertex."""
+    base = b0, b1, b2, b3 = verts[0]
+    diffs = [(v0 - b0, v1 - b1, v2 - b2, v3 - b3)
+             for v0, v1, v2, v3 in verts[1:]]
+    tol = 4.0 * _ULP * math.sqrt(max(map(_dot, diffs, diffs), default=0.0))
+    basis, rcols, kept = [], [], []
+    for j, d in enumerate(diffs):
+        v, coef = _orthogonalize(d, basis)
+        r = math.sqrt(_dot(v, v))
+        if r > tol:
+            basis.append((v[0] / r, v[1] / r, v[2] / r, v[3] / r))
+            rcols.append(coef + [r])
+            kept.append(j)
+    mu = [0.0] * len(diffs)       # R mu = -Q^T base, back substitution
+    for i in reversed(range(len(kept))):
+        s = sum([rcols[k][i] * mu[kept[k]] for k in range(i + 1, len(kept))])
+        mu[kept[i]] = (-_dot(basis[i], base) - s) / rcols[i][i]
+    return [1.0 - sum(mu)] + mu, basis
+
+
+def _nearest_face(verts, lam):
     """Wolfe's minor cycle (Math. Prog. 11, 1976): from weights lam of
     a point of conv(verts), move toward the nearest point of the affine
     hull of the remaining vertices until a weight reaches zero, and drop
     that vertex, until the nearest point of the affine hull has positive
     weights. It is then the nearest point of conv(verts), and in exact
     arithmetic the remaining vertices are affinely independent, at most
-    five in R^4. Returns the indices kept and their weights."""
-    keep = np.arange(len(verts))
+    five in R^4. Returns the indices kept, their weights and the basis
+    from _affine_min."""
+    keep = list(range(len(verts)))
     while True:
-        mu = _affine_min(verts[keep])
-        if mu.min() > 0.0:
-            return keep, mu
-        down = np.flatnonzero(mu <= 0.0)
-        den = lam[down] - mu[down]          # >= 0, as lam >= 0 >= mu
-        ratios = np.divide(lam[down], den, out=np.zeros_like(den),
-                           where=den > 0.0)
-        i = int(np.argmin(ratios))
-        lam = lam + ratios[i] * (mu - lam)
-        alive = lam > 0.0
-        alive[down[i]] = False
-        keep, lam = keep[alive], lam[alive] / lam[alive].sum()
+        mu, basis = _affine_min([verts[i] for i in keep])
+        if min(mu) > 0.0:
+            return keep, mu, basis
+        # the first smallest step lam -> mu that zeroes a weight,
+        # lam >= 0 >= mu on the candidates
+        t, drop = min((l / (l - m) if l > m else 0.0, i)
+                      for i, (l, m) in enumerate(zip(lam, mu)) if m <= 0.0)
+        lam = [l + t * (m - l) for l, m in zip(lam, mu)]
+        alive = [i for i, l in enumerate(lam) if l > 0.0 and i != drop]
+        tot = sum([lam[i] for i in alive])
+        keep, lam = [keep[i] for i in alive], [lam[i] / tot for i in alive]
 
 
 def _sphere_support(s: TwoSphere, d) -> Quaternion:
@@ -267,22 +300,20 @@ def _membership(q: Quaternion, points: list[Quaternion],
         return (p.w - q.w, p.x - q.x, p.y - q.y, p.z - q.z)
 
     rel = [shifted(p) for p in points]
-    rel_arr = np.array(rel).reshape(-1, 4)
 
     def support(d):
         """Hull point minimizing <d, .>, shifted and original."""
         best = None
         if rel:
-            vals = rel_arr @ d
-            i = int(np.argmin(vals))
-            best = (float(vals[i]), rel[i], points[i])
+            i = min(range(len(rel)), key=lambda k: _dot(rel[k], d))
+            best = (_dot(rel[i], d), rel[i], points[i])
         for s in spheres:
             p = _sphere_support(s, d)
             t = shifted(p)
             val = _dot(d, t)
             if best is None or val < best[0]:
                 best = (val, t, p)
-        return np.array(best[1]), best[2]
+        return best[1], best[2]
 
     # start from the generator nearest the query: on a sphere that is
     # the support point in the direction of the shifted centre
@@ -291,37 +322,40 @@ def _membership(q: Quaternion, points: list[Quaternion],
         p = _sphere_support(s, (0.0, -q.x, -q.y, -q.z))
         starts.append((shifted(p), p))
     start = min(starts, key=lambda st: _dot(st[0], st[0]))
-    verts, origs = np.array([start[0]]), [start[1]]
-    weights = np.ones(1)
+    verts, origs = [start[0]], [start[1]]
+    weights = [1.0]
     x = verts[0]
-    nn = float(x @ x)
+    nn = _dot(x, x)
     lower = -math.inf
     for _ in range(_MAX_ITER):
         upper = math.sqrt(nn)
         if upper <= eps:
-            cert = HullCertificate(tuple(origs),
-                                   tuple(float(w) for w in weights), 0.0)
+            cert = HullCertificate(tuple(origs), tuple(weights), 0.0)
             slack = (cert.combination() - q).norm()
             if slack <= eps:
                 return dataclasses.replace(cert, slack=slack)
         w, orig = support(x)
         if upper > 0.0:
-            lower = max(lower, float(x @ w) / upper)
+            lower = max(lower, _dot(x, w) / upper)
         if lower > eps and upper - lower <= gap:
             return Outside(upper)
         if len(verts) == 5:
             break       # a full simplex: x is at the origin up to rounding
-        cand = np.vstack([verts, w])
-        keep, lam = _nearest_face(cand, np.append(weights, 0.0))
-        face = cand[keep]
-        x_new = lam @ face
+        cand = verts + [w]
+        keep, lam, basis = _nearest_face(cand, weights + [0.0])
+        face = [cand[i] for i in keep]
+        x_new = [sum([l * v[c] for l, v in zip(lam, face)]) for c in range(4)]
         if len(keep) == 4:
             # on a facet, take the direction of x from the facet normal,
             # which the differences of its vertices fix far more finely
-            # than rounding leaves x itself once |x| is small
-            normal = np.linalg.svd(face[1:] - face[0])[2][3]
-            x_new = (normal @ face[0]) * normal
-        nn_new = float(x_new @ x_new)
+            # than rounding leaves x itself once |x| is small: the axis
+            # the facet's basis covers least, orthogonalized against it
+            k = min(range(4), key=lambda c: sum(u[c] * u[c] for u in basis))
+            normal, _ = _orthogonalize([float(c == k) for c in range(4)],
+                                       basis)
+            h = _dot(normal, face[0]) / _dot(normal, normal)
+            x_new = [h * a for a in normal]
+        nn_new = _dot(x_new, x_new)
         if not nn_new < nn:
             break       # no progress left at this precision
         verts, weights, x, nn = face, lam, x_new, nn_new
@@ -372,12 +406,15 @@ def slice_route(zs: ZeroSet, eps_hull: float = EPS_HULL):
         return Quaternion(x) if i < n else Quaternion(x) + y * unit
 
     def member(q: Quaternion):
-        im = q.im_norm()
-        unit = imag_unit(q) if im > 0.0 else UNIT_I
-        zq = complex(q.w, im)
+        zq = complex(q.w, q.im_norm())
         res = _member2d(zq, pts2, eps_hull * (1.0 + abs(zq)), hull)
         if isinstance(res, Outside):
             return res
+        # Im q / |Im q| from the parts scaled by the largest, so that
+        # tiny and subnormal parts still give a unit vector
+        big = max(abs(q.x), abs(q.y), abs(q.z))
+        v = Quaternion(0.0, q.x / big, q.y / big, q.z / big) if big else UNIT_I
+        unit = v / v.norm()
         pairs, slack = res
         return HullCertificate(tuple(lift(i, unit) for i, _ in pairs),
                                tuple(w for _, w in pairs), float(slack))

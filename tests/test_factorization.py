@@ -8,7 +8,7 @@ import pytest
 from qlucas.factorization import (
     MFactor, check_l_identity, fejer_riesz_factor, slice_symmetrization,
 )
-from qlucas.qpoly import QPoly, restrict_to_slice
+from qlucas.qpoly import QPoly, horner, restrict_to_slice
 from qlucas.quaternion import I, J, Quaternion, random_unit_imaginary
 from qlucas.roots import NumericalBreakdown, complex_roots
 
@@ -182,3 +182,82 @@ def test_factored_then_checked_end_to_end():
         a[:prod.size] = prod
         b[:q.size] = q
         assert np.max(np.abs(a - b)) <= 1e-8 * (1.0 + float(np.max(np.abs(q))))
+
+
+# ---------------------------------------------------------------------------
+# the list kernels against the numpy formulas they replace
+
+
+def numpy_slice_symmetrization(sp):
+    width, parts = 1, []
+    for p in (np.asarray(sp.p1, dtype=complex),
+              np.asarray(sp.p2, dtype=complex)):
+        if p.size and np.any(p):
+            parts.append(npp.polymul(p, np.conj(p)))
+            width = max(width, parts[-1].size)
+    out = np.zeros(width, dtype=complex)
+    for prod in parts:
+        out[:prod.size] += prod
+    return out.real
+
+
+def numpy_m_coeffs(q):
+    q = np.asarray(q, dtype=float)
+    roots = []
+    for cl in complex_roots(q):
+        if cl.center.imag > 0:
+            roots += [cl.center] * cl.multiplicity
+        elif cl.center.imag == 0:
+            roots += [cl.center] * (cl.multiplicity // 2)
+    return npp.polyfromroots(roots).astype(complex) * np.sqrt(q[-1])
+
+
+def numpy_l_identity(p1, p2, m, zs, rel_tol=1e-8):
+    p1, p2, m = (np.asarray(list(a), dtype=complex) for a in (p1, p2, m))
+    d1, d2, dm = (npp.polyder(a) if a.size > 1 else np.zeros(1, complex)
+                  for a in (p1, p2, m))
+
+    def mag(coeffs, r):
+        return float(sum(abs(c) * max(1.0, r) ** n
+                         for n, c in enumerate(coeffs)))
+
+    for z in zs:
+        lhs = z * (horner(d1, z) * horner(np.conj(p1), z)
+                   + horner(d2, z) * horner(np.conj(p2), z))
+        rhs = z * horner(dm, z) * horner(np.conj(m), z)
+        r = abs(z)
+        scale = 1.0 + r * (mag(d1, r) * mag(p1, r) + mag(d2, r) * mag(p2, r)
+                           + mag(dm, r) * mag(m, r))
+        if abs(lhs - rhs) > rel_tol * scale:
+            return False
+    return True
+
+
+def test_list_kernels_match_the_numpy_formulas():
+    rng = random.Random(83)
+    factored, verdicts = 0, set()
+    for k in range(200):
+        deg = rng.randint(1, 6)
+        parts = 1 if k % 5 == 0 else 4      # real P: P2 = 0 on every slice
+        coeffs = [Quaternion(*(rng.uniform(-2, 2) for _ in range(parts)))
+                  for _ in range(deg + 1)]
+        sp = restrict_to_slice(QPoly(coeffs), random_unit_imaginary(rng))
+        got = slice_symmetrization(sp)
+        want = numpy_slice_symmetrization(sp)
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        try:
+            m = fejer_riesz_factor(got)
+        except NumericalBreakdown:
+            continue
+        factored += 1
+        ref = numpy_m_coeffs(got)
+        assert isinstance(m.m_coeffs, tuple) and len(m.m_coeffs) == ref.size
+        assert np.max(np.abs(np.asarray(m.m_coeffs) - ref)) <= \
+            1e-12 * (1.0 + np.max(np.abs(ref)))
+        assert isinstance(m.product_coeffs(), np.ndarray)
+        zs = sample_ring(rng, 8)
+        holds = check_l_identity(sp.p1, sp.p2, m.m_coeffs, zs)
+        assert holds == numpy_l_identity(sp.p1, sp.p2, m.m_coeffs, zs)
+        verdicts.add(holds)
+    assert factored >= 190 and verdicts == {True, False}

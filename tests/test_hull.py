@@ -5,17 +5,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlucas
 from qlucas import hull
+from qlucas.factorization import (
+    check_l_identity, fejer_riesz_factor, slice_symmetrization,
+)
 from qlucas.hull import (
     HullCertificate, Outside, _member2d, hull_membership_4d,
     hull_membership_slice,
 )
-from qlucas.qpoly import QPoly
+from qlucas.qpoly import QPoly, restrict_to_slice
 from qlucas.quaternion import I, J, K, Quaternion, TwoSphere
 from qlucas.roots import (
     IsolatedZero, NumericalBreakdown, SphereZero, ZeroSet, zero_set,
@@ -262,6 +267,12 @@ def verdict_or_breakdown(q, zs, eps_hull):
 
 
 @settings(max_examples=60, deadline=None)
+# a query with |Im q| far below 1e-10 on the slice route
+@example(rot=(0, 0, 0, 1), points=[(0, 0, -0.5, 0)], spheres=[],
+         query=(0, 0, 0, 2.7041875176007304e-118))
+# a bracket left open by a rounded facet direction
+@example(rot=(0, 1, 1, 0), points=[(0, 0, 0, 1)], spheres=[(1e-8, 3.0)],
+         query=(-1, 0, 2, 0))
 @given(rot=quat4.filter(lambda t: math.hypot(*t) > 0.1),
        points=st.lists(quat4, min_size=1, max_size=3),
        spheres=st.lists(st.tuples(coord, st.floats(0.1, 3.0)), max_size=2),
@@ -282,6 +293,68 @@ def test_exact_hull_is_invariant_under_rotation(rot, points, spheres, query):
     assert type(a) is type(b)
     if isinstance(a, Outside):
         assert b.distance == pytest.approx(a.distance, abs=1e-9)
+
+
+def test_slice_route_takes_tiny_imaginary_parts():
+    zs = points_and_spheres([Quaternion(0.0), Quaternion(2.0)], [])
+    for t in (1e-12, 1e-10, 2.7e-118):
+        q = Quaternion(1.0, 0.0, 0.0, t)
+        cert = hull_membership_slice(q, zs, 1e-8)
+        assert_sound(cert, q, 1e-8 * (1.0 + q.norm()))
+        out = hull_membership_slice(Quaternion(3.0, 0.0, t, t), zs, 1e-8)
+        assert out.distance == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dependent_difference_gets_weight_zero():
+    # C - A is exactly parallel to B - A, and the last vertex repeats A
+    a, b, c = (1.0, -1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0)
+    mu, basis = hull._affine_min([a, b, c, a])
+    assert mu == [0.5, 0.5, 0.0, 0.0]
+    assert basis == [(0.0, 1.0, 0.0, 0.0)]
+    # Wolfe's cycle drops the dependent vertex and keeps the nearest point
+    keep, lam, _ = hull._nearest_face([a, b, c], [0.5, 0.0, 0.5])
+    assert keep == [0, 1] and lam == [0.5, 0.5]
+
+
+def test_4d_duplicate_vertices_change_nothing():
+    # a repeated point, or one shifted by 1e-13, leaves the hull as it was
+    rng = random.Random(71)
+    for _ in range(60):
+        pts = [rand_q(rng, 2.0) for _ in range(rng.randint(1, 6))]
+        q = rand_q(rng, 2.5)
+        want = hull_membership_4d(q, pts, 1e-8)
+        for dup in (pts[0], pts[0] + Quaternion(1e-13, -1e-13, 1e-13, 0.0)):
+            for more in (pts + [dup], [dup] + pts):
+                got = hull_membership_4d(q, more, 1e-8)
+                assert type(got) is type(want)
+                if isinstance(want, Outside):
+                    assert got.distance == pytest.approx(want.distance,
+                                                         abs=1e-9)
+                else:
+                    assert_sound(got, q, 1e-8 * (1.0 + q.norm()))
+
+
+def test_own_hull_kernels_call_no_small_array_solver(monkeypatch):
+    def refuse(*_, **__):
+        raise AssertionError("numpy small-array routine in a kernel")
+
+    for mod, name in ((np.linalg, "lstsq"), (np.linalg, "svd"),
+                      (npp, "polymul"), (npp, "polyfromroots"),
+                      (npp, "polyder")):
+        monkeypatch.setattr(mod, name, refuse)
+    assert not hasattr(hull, "np")
+    rng = random.Random(29)
+    for _ in range(20):
+        pts = [rand_q(rng, 2.0) for _ in range(rng.randint(1, 6))]
+        hull_membership_4d(rand_q(rng, 2.5), pts, 1e-8)
+    zs = points_and_spheres([3.0 * K], [(0.0, 1.0)])
+    for q in (Quaternion(0, 2, 0, 2), Quaternion(0, 0.3, 0, 0.5)):
+        hull_membership_slice(q, zs, 1e-9)
+    p = QPoly([J, I, Quaternion(0.5)])
+    sp = restrict_to_slice(p, I)
+    m = fejer_riesz_factor(slice_symmetrization(sp))
+    m.product_coeffs()
+    check_l_identity(sp.p1, sp.p2, m.m_coeffs, [0.5, 1j, -1 + 1j])
 
 
 def test_exact_hull_breaks_down_when_the_iterations_run_out(monkeypatch):
