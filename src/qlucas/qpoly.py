@@ -31,16 +31,19 @@ class QPoly:
     Trailing coefficients with norm at most 1e-12 * max|a_n| are trimmed
     so the leading coefficient of a nonzero polynomial is significant.
     The zero polynomial has an empty coefficient tuple and degree -1.
+    A coefficient with an infinite or NaN part is a ValueError.
     """
 
     __slots__ = ("parts", "norms", "_coeffs")
 
     def __init__(self, coeffs: Sequence = ()):
         qs = []
-        for c in coeffs:
+        for n, c in enumerate(coeffs):
             q = _coerce(c)
             if q is None:
                 raise TypeError(f"coefficient {c!r} is not a quaternion or real")
+            if not all(map(math.isfinite, (q.w, q.x, q.y, q.z))):
+                raise ValueError(f"coefficient {n} is not finite: {c!r}")
             qs.append((q.w, q.x, q.y, q.z))
         self._store(*(zip(*qs) if qs else ((), (), (), ())))
 

@@ -4,11 +4,13 @@ whole 2-spheres."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvals as _lapack_eigvals
 
 from .quaternion import (
     Quaternion,
@@ -53,14 +55,23 @@ class RootCluster:
     residual: float
 
 
-def _derivs(coeffs: list[complex]) -> list[list[complex]]:
+class _derivs:
     """All derivatives as lists of Python numbers, which Horner's rule
-    runs through faster than numpy scalars."""
-    out = [coeffs]
-    while len(out[-1]) > 1:
-        out.append([n * c for n, c in enumerate(out[-1]) if n >= 1])
-    out.append([0j])
-    return out
+    runs through faster than numpy scalars, then [0j] at every higher
+    order; each is built on first use (simple roots need orders 0, 1)."""
+
+    def __init__(self, coeffs):
+        self._built = [coeffs]
+        self._top = max(len(coeffs), 1)  # the order of the final [0j]
+
+    def __getitem__(self, order: int) -> list:
+        order = min(order, self._top)
+        built = self._built
+        while len(built) <= order:
+            prev = built[-1]
+            built.append([n * c for n, c in enumerate(prev) if n >= 1]
+                         if len(prev) > 1 else [0j])
+        return built[order]
 
 
 def _newton(derivs, order: int, z0: complex, max_iter: int = 80) -> complex:
@@ -70,8 +81,8 @@ def _newton(derivs, order: int, z0: complex, max_iter: int = 80) -> complex:
     the iterate has then reached the rounding noise, where a threshold
     below the spacing would stop only on an exactly zero step.
     Returns the start point if the iteration wanders."""
-    d = derivs[min(order, len(derivs) - 1)]
-    dp = derivs[min(order + 1, len(derivs) - 1)]
+    d = derivs[order]
+    dp = derivs[order + 1]
     z = z0
     last = math.inf
     for _ in range(max_iter):
@@ -92,7 +103,7 @@ def _newton(derivs, order: int, z0: complex, max_iter: int = 80) -> complex:
 
 def _validated(derivs, z: complex, mu: int) -> bool:
     for j in range(mu):
-        dj = derivs[min(j, len(derivs) - 1)]
+        dj = derivs[j]
         if abs(horner(dj, z)) > _TAU_VALIDATE * horner_scale(dj, abs(z)):
             return False
     return True
@@ -181,7 +192,11 @@ def complex_roots(coeffs, tau_cluster: float = TAU_CLUSTER,
     to exact conjugates with equal residuals: _polish_real pairs them
     first, then polishes one of each pair and snaps near-axis centers.
     """
-    c = trim_rel(list(coeffs))
+    c = list(coeffs)
+    for n, a in enumerate(c):
+        if not cmath.isfinite(a):
+            raise ValueError(f"coefficient {n} is not finite: {a!r}")
+    c = trim_rel(c)
     if len(c) < 2:
         raise ValueError("root finding needs degree >= 1 after trimming")
     deg = len(c) - 1
@@ -220,14 +235,24 @@ def complex_roots(coeffs, tau_cluster: float = TAU_CLUSTER,
 def _eigen_roots(c: list) -> list[complex]:
     """np.roots(c[::-1]) for ascending c with c[-1] != 0, bit for bit
     and without its fixed overhead: the same companion matrix's
-    eigenvalues, then one zero root per zero constant term."""
+    eigenvalues, then one zero root per zero constant term. The LAPACK
+    gufunc behind np.linalg.eigvals (xGEEV) is called directly, as the
+    wrapper costs more than LAPACK on small matrices; its two checks,
+    non-finite entries and non-convergence (NaN output), are kept."""
     k = next(i for i, a in enumerate(c) if a != 0)
     n = len(c) - 1 - k
     if n == 0:
         return [0j] * k
     a = np.eye(n, k=-1, dtype=type(c[-1]))
-    a[0] = -np.array(c[k:-1][::-1]) / c[-1]
-    return [complex(z) for z in np.linalg.eigvals(a).tolist()] + [0j] * k
+    with np.errstate(all="ignore"):
+        a[0] = -np.array(c[k:-1][::-1]) / c[-1]
+        if not np.isfinite(a[0]).all():
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        sig = "D->D" if a.dtype.kind == "c" else "d->D"
+        out = _lapack_eigvals(a, signature=sig).tolist()
+    if any(z != z for z in out):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return out + [0j] * k
 
 
 def _polish_real(clusters, derivs, residual):
@@ -322,16 +347,16 @@ class ZeroSet:
         }
 
 
-def _sphere_residual(p: QPoly, s: TwoSphere) -> float:
+def _sphere_residual(p: QPoly, s: TwoSphere, ab=None) -> float:
     """Exact maximum of |P| / eval_scale(hypot(x, y)) over the whole
     sphere [x + Iy], or at the real point x when y = 0.
 
-    With P(x + Iy) = A + I B (sphere_values),
-    |A + I B|^2 = |A|^2 + |B|^2 - 2 <Im(B A^c), I>, so the maximum is
-    sqrt(|A|^2 + |B|^2 + 2 |Im(B A^c)|), attained at
+    With P(x + Iy) = A + I B (sphere_values, or ab when the caller has
+    them), |A + I B|^2 = |A|^2 + |B|^2 - 2 <Im(B A^c), I>, so the
+    maximum is sqrt(|A|^2 + |B|^2 + 2 |Im(B A^c)|), attained at
     I = -Im(B A^c) / |Im(B A^c)| (at every I when Im(B A^c) = 0).
     """
-    a, b = sphere_values(p, s.x, s.y)
+    a, b = ab or sphere_values(p, s.x, s.y)
     cross = (b * a.conjugate()).im_norm()
     top = math.sqrt(a.norm2() + b.norm2() + 2.0 * cross)
     return top / p.eval_scale(math.hypot(s.x, s.y))
@@ -349,14 +374,21 @@ def classify_sphere(p: QPoly, s: TwoSphere, tau_zero: float = TAU_ZERO,
     imaginary parts at x + iy of the four real component polynomials of
     p. Both vanishing means the whole sphere is zeros; otherwise the
     only candidate zero is at K = -a b^{-1}, valid when K is unit
-    imaginary.
+    imaginary. A sphere with y <= 0 is the real point x.
     """
     if s.y <= 0.0:
         q = Quaternion(s.x)
         if p.evaluate(q).norm() <= tau_zero * p.eval_scale(abs(s.x)):
             return ("isolated", q)
         return ("not_a_zero", None)
-    a, b = sphere_values(p, s.x, s.y)
+    return _classify(p, s, sphere_values(p, s.x, s.y), tau_zero, tau_unit)
+
+
+def _classify(p: QPoly, s: TwoSphere, ab, tau_zero: float,
+              tau_unit: float):
+    """classify_sphere for y > 0 from ab = sphere_values(p, x, y), which
+    zero_set then reuses for the residual."""
+    a, b = ab
     scale = p.eval_scale(math.hypot(s.x, s.y))
     if a.norm() <= tau_zero * scale and b.norm() <= tau_zero * scale:
         return ("spherical", None)
@@ -403,13 +435,14 @@ def zero_set(p: QPoly, tau_zero: float = TAU_ZERO) -> ZeroSet:
             continue
         s = TwoSphere(cl.center.real, cl.center.imag)
         t = cl.multiplicity
-        kind, pt = classify_sphere(p, s, tau_zero)
+        ab = sphere_values(p, s.x, s.y)
+        kind, pt = _classify(p, s, ab, tau_zero, TAU_UNIT)
         if kind == "spherical":
             if t % 2:
                 raise NumericalBreakdown(
                     "odd multiplicity at a spherical zero",
                     sphere=(s.x, s.y), multiplicity=t)
-            spheres.append(SphereZero(s, t // 2, _sphere_residual(p, s)))
+            spheres.append(SphereZero(s, t // 2, _sphere_residual(p, s, ab)))
         elif kind == "isolated":
             res = p.evaluate(pt).norm() / p.eval_scale(pt.norm())
             if res > tau_zero:
@@ -425,20 +458,24 @@ def zero_set(p: QPoly, tau_zero: float = TAU_ZERO) -> ZeroSet:
 
 
 def _zero_set_real(p: QPoly, tau_zero: float) -> ZeroSet:
+    """Zeros of a real p from the roots of its real part. For an exactly
+    real p the cluster residuals are its sphere residuals, up to an ulp
+    (abs of a complex rounds unlike sqrt(u^2 + v^2)); imaginary parts
+    within the is_real tolerance need _sphere_residual."""
     clusters = complex_roots(p.real_coeffs())
+    exact = not any(map(any, p.parts[1:]))
     isolated: list[IsolatedZero] = []
     spheres: list[SphereZero] = []
     for cl in clusters:
         if cl.center.imag < 0:
             continue
-        if cl.center.imag == 0:
-            x = cl.center.real
-            res = _sphere_residual(p, TwoSphere(x, 0.0))
-            isolated.append(IsolatedZero(Quaternion(x), cl.multiplicity, res))
+        s = TwoSphere(cl.center.real, cl.center.imag)
+        res = cl.residual if exact else _sphere_residual(p, s)
+        if s.y == 0:
+            isolated.append(IsolatedZero(Quaternion(s.x), cl.multiplicity,
+                                         res))
         else:
-            s = TwoSphere(cl.center.real, cl.center.imag)
-            spheres.append(
-                SphereZero(s, cl.multiplicity, _sphere_residual(p, s)))
+            spheres.append(SphereZero(s, cl.multiplicity, res))
     return _assemble(p, isolated, spheres)
 
 

@@ -296,3 +296,16 @@ def test_kernels_perform_no_hamilton_product(monkeypatch):
         star_mul(p, p)
         sphere_values(p, 0.3, 1.7)
         p.eval_scale(2.5)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("part", range(4))
+def test_non_finite_coefficient_is_a_value_error(bad, part):
+    # unchecked, the trim threshold 1e-12 * inf drops every coefficient
+    parts = [0.5, -0.25, 1.0, 0.0]
+    parts[part] = bad
+    with pytest.raises(ValueError, match="coefficient 1 is not finite"):
+        QPoly([Quaternion(1.0), Quaternion(*parts), Quaternion(1.0)])
+    if part == 0:
+        with pytest.raises(ValueError, match="coefficient 1 is not finite"):
+            QPoly([1.0, bad, 1.0])

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,7 @@ from qlucas import roots as roots_mod
 from qlucas.quaternion import (
     I, J, K, Quaternion, TwoSphere, is_unit_imaginary, random_unit_imaginary,
 )
-from qlucas.qpoly import QPoly, sphere_values, star_mul
+from qlucas.qpoly import QPoly, characteristic_poly, sphere_values, star_mul
 from qlucas.roots import (
     NumericalBreakdown, classify_sphere, complex_roots, critical_points,
     zero_set,
@@ -498,3 +499,159 @@ def test_critical_points_basics():
 
     lin = QPoly([J, Quaternion(1)])
     assert critical_points(lin).is_empty()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_complex_roots_rejects_non_finite_coefficients(bad):
+    for coeffs in ([1.0, bad, 1.0], [1.0, complex(0.0, bad), 1.0],
+                   [1.0, 0.0, complex(bad, 1.0)]):
+        with pytest.raises(ValueError, match="is not finite"):
+            complex_roots(coeffs)
+
+
+def test_root_finding_calls_no_numpy_root_wrapper(monkeypatch):
+    from qlucas.factorization import fejer_riesz_factor
+    from qlucas.gauss_lucas import (
+        slice_equivalence_check, verify_gauss_lucas, verify_real_case,
+    )
+
+    def refuse(*_, **__):
+        raise AssertionError("numpy root wrapper called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np, "roots", refuse)
+    rng = random.Random(71)
+    p = random_factored(rng, 4)
+    real = QPoly([2.0, -1.0, 0.5, 3.0, 1.0])
+    complex_roots([6.0, -5.0, 1.0])
+    complex_roots([1j, 2.0, 1.0 - 1j])
+    zero_set(p)
+    zero_set(real)
+    verify_real_case(real)
+    verify_gauss_lucas(p)
+    fejer_riesz_factor([4.0, 0.0, 5.0, 0.0, 1.0])
+    slice_equivalence_check(p)
+
+
+def test_eigen_roots_keeps_the_wrapper_checks(monkeypatch):
+    for c in ([1.0, math.inf, 1.0], [1.0, math.nan, 2.0],
+              [1j, complex(math.inf, 0.0), 1.0 + 0j], [1.0, 1e300, 1e-300]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="Array must not contain infs or NaNs"):
+                roots_mod._eigen_roots(c)
+
+    def unconverged(a, signature):
+        return np.full(len(a), complex(math.nan, math.nan))
+
+    monkeypatch.setattr(roots_mod, "_lapack_eigvals", unconverged)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="Eigenvalues did not converge"):
+        roots_mod._eigen_roots([6.0, -5.0, 1.0])
+
+
+@st.composite
+def scaled_real_polys(draw):
+    """Real coefficients in [-3, 3] with the roots scaled by r."""
+    deg = draw(st.integers(1, 12))
+    r = 10.0 ** draw(st.floats(-2, 3))
+    body = draw(st.lists(st.floats(-3, 3), min_size=deg, max_size=deg))
+    lead = draw(st.floats(0.1, 3)) * draw(st.sampled_from([-1.0, 1.0]))
+    c = body + [lead]
+    return QPoly([a * r ** (deg - n) for n, a in enumerate(c)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=scaled_real_polys())
+def test_real_zero_set_residuals_are_sphere_residuals(p):
+    # the relative trim can leave a constant (ValueError), and root
+    # finding can break down; either way there are no residuals
+    try:
+        zs = zero_set(p)
+    except (NumericalBreakdown, ValueError):
+        return
+    pairs = [(z.residual, TwoSphere(z.point.w, 0.0)) for z in zs.isolated]
+    pairs += [(s.residual, s.sphere) for s in zs.spheres]
+    for res, s in pairs:
+        want = roots_mod._sphere_residual(p, s)
+        assert abs(res - want) <= max(1e-14 * max(res, want), 1e-30)
+
+
+def test_nearly_real_zero_set_residuals_see_the_imaginary_parts():
+    # within the is_real tolerance, so zero_set takes the real route,
+    # but the residual must still be that of p, not of its real part
+    p = QPoly([2.0, Quaternion(-1.0, 3e-13, 0.0, -2e-13), 0.5, 1.0])
+    assert p.is_real()
+    zs = zero_set(p)
+    pairs = [(z.residual, TwoSphere(z.point.w, 0.0)) for z in zs.isolated]
+    pairs += [(s.residual, s.sphere) for s in zs.spheres]
+    assert len(pairs) == 2
+    for res, s in pairs:
+        assert res == roots_mod._sphere_residual(p, s)
+
+
+def test_zero_set_evaluates_each_candidate_sphere_once(monkeypatch):
+    calls = []
+    values = roots_mod.sphere_values
+
+    def counted(p, x, y):
+        calls.append((x, y))
+        return values(p, x, y)
+
+    monkeypatch.setattr(roots_mod, "sphere_values", counted)
+    ring = characteristic_poly(TwoSphere(1.0, 2.0))
+    ring2 = characteristic_poly(TwoSphere(-0.5, 0.75))
+    lin = QPoly([-(I + 0.5 * J + 0.3), Quaternion(1)])
+    for p in (ring * lin, ring * ring2 * lin, ring * lin * lin):
+        calls.clear()
+        zs = zero_set(p)
+        candidates = [cl for cl in complex_roots(
+            p.symmetrize().real_coeffs()) if cl.center.imag > 0]
+        assert zs.spheres
+        assert len(calls) == len(candidates)
+
+
+@st.composite
+def coefficient_lists(draw):
+    values = st.sampled_from([0.0, -0.0, 1.5, -2.25, 3.0])
+    c = draw(st.lists(values, min_size=1, max_size=21))
+    if draw(st.booleans()):
+        c = [complex(a, draw(values)) for a in c]
+    return c
+
+
+def eager_derivs(coeffs):
+    """All derivatives, built up front, then a final [0j]."""
+    out = [coeffs]
+    while len(out[-1]) > 1:
+        out.append([n * c for n, c in enumerate(out[-1]) if n >= 1])
+    out.append([0j])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=coefficient_lists(), first=st.integers(0, 25))
+def test_lazy_derivatives_equal_the_eager_list(c, first):
+    want = eager_derivs(c)
+    lazy = roots_mod._derivs(c)
+    assert repr(lazy[first]) == repr(want[min(first, len(want) - 1)])
+    assert repr([lazy[j] for j in range(len(want))]) == repr(want)
+    assert repr(lazy[len(want) + 3]) == repr([0j])
+
+
+def test_simple_roots_build_only_the_first_derivative(monkeypatch):
+    made = []
+
+    class Spy(roots_mod._derivs):
+        def __init__(self, coeffs):
+            super().__init__(coeffs)
+            made.append(self)
+
+    monkeypatch.setattr(roots_mod, "_derivs", Spy)
+    real = np.real(poly_from_roots([1.0, -2.0, 3 + 1j, 3 - 1j, 0.5]))
+    for coeffs in (real.tolist(), poly_from_roots([1.0, 2j, -3.0, 1 - 1j])):
+        made.clear()
+        out = complex_roots(coeffs)
+        assert all(cl.multiplicity == 1 for cl in out)
+        assert len(made) == 1 and len(made[0]._built) <= 2
