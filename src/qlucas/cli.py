@@ -21,10 +21,11 @@ from .gauss_lucas import (
     run_verification_campaign,
     verify_gauss_lucas,
 )
-from .hull import EPS_HULL
 from .qpoly import QPoly, restrict_to_slice
-from .quaternion import I as UNIT_I, J as UNIT_J, K as UNIT_K, Quaternion
-from .roots import TAU_ZERO, NumericalBreakdown, critical_points, zero_set
+from .quaternion import (I as UNIT_I, J as UNIT_J, K as UNIT_K, Quaternion,
+                         imag_direction)
+from .roots import NumericalBreakdown, critical_points, zero_set
+from .tolerances import EPS_CAMPAIGN, EPS_HULL, TAU_ZERO
 
 
 class CLIError(Exception):
@@ -90,13 +91,19 @@ def _parse_slice(text: str) -> Quaternion:
     except json.JSONDecodeError:
         raise CLIError("--slice must be i, j, k or a JSON [x, y, z] list")
     if (not isinstance(v, list) or len(v) != 3
-            or not all(isinstance(x, (int, float)) for x in v)):
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in v)):
         raise CLIError("--slice must be i, j, k or a JSON [x, y, z] list")
-    u = Quaternion(0.0, *v)
-    n = u.norm()
-    if n == 0.0:
+    try:
+        u = Quaternion(0.0, *v)
+        finite = u.is_finite()
+    except OverflowError:           # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise CLIError("--slice direction must be finite")
+    if not (u.x or u.y or u.z):
         raise CLIError("--slice direction must be nonzero")
-    return u / n
+    return imag_direction(u)
 
 
 def _resolve_seed(args) -> int:
@@ -201,7 +208,7 @@ def cmd_verify(args) -> int:
         return 0 if rep.verified else 1
 
     seed = _resolve_seed(args)
-    eps = args.eps_hull if args.eps_hull is not None else 1e-6
+    eps = args.eps_hull if args.eps_hull is not None else EPS_CAMPAIGN
     report = run_verification_campaign(seed, args.trials, eps, args.tol_zero)
     if args.format == "json":
         _emit(_json_text(report), args)
@@ -308,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=100,
                    help="campaign size when no polynomial is given")
     v.add_argument("--eps-hull", type=float, default=None,
-                   help="hull collar; default 1e-8 single, 1e-6 campaign")
+                   help=f"hull collar; default {EPS_HULL:g} single, "
+                        f"{EPS_CAMPAIGN:g} campaign")
     v.add_argument("--tol-zero", type=float, default=TAU_ZERO)
     v.set_defaults(func=cmd_verify)
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from .qpoly import SlicePoly, _cpoly_der, horner, trim_rel
 from .roots import NumericalBreakdown, complex_roots
-
-TAU_FACTOR = 1e-8
+from .tolerances import TAU_COEFF_REAL, TAU_FACTOR, TAU_L_IDENTITY
 
 
 def _mul(a, b) -> list:
@@ -49,7 +48,7 @@ class MFactor:
         return horner(self.m_coeffs, z)
 
 
-def fejer_riesz_factor(q_coeffs, tau_factor: float = TAU_FACTOR) -> MFactor:
+def fejer_riesz_factor(q_coeffs) -> MFactor:
     """Factor a real polynomial that is nonnegative on the real axis as
     Q(z) = M(z) * conj(M(conj(z))) with deg M = deg Q / 2.
 
@@ -64,7 +63,7 @@ def fejer_riesz_factor(q_coeffs, tau_factor: float = TAU_FACTOR) -> MFactor:
     if not any(q):
         raise ValueError("cannot factor the zero polynomial")
     top = max(map(abs, q))
-    if max(abs(c.imag) for c in q) > 1e-13 * top:
+    if max(abs(c.imag) for c in q) > TAU_COEFF_REAL * top:
         raise ValueError("factorization input must have real coefficients")
     q = trim_rel([c.real for c in q])
 
@@ -101,7 +100,7 @@ def fejer_riesz_factor(q_coeffs, tau_factor: float = TAU_FACTOR) -> MFactor:
     prod = _mul(m, [c.conjugate() for c in m])
     diff = [a - b for a, b in zip_longest(prod, q, fillvalue=0.0)]
     residual = max(map(abs, diff)) / (1.0 + max(map(abs, q)))
-    if residual > tau_factor:
+    if residual > TAU_FACTOR:
         raise NumericalBreakdown(
             "reconstructed product does not match the input",
             residual=residual)
@@ -109,7 +108,7 @@ def fejer_riesz_factor(q_coeffs, tau_factor: float = TAU_FACTOR) -> MFactor:
 
 
 def check_l_identity(p1, p2, m_coeffs, z_samples,
-                     rel_tol: float = 1e-8) -> bool:
+                     rel_tol: float = TAU_L_IDENTITY) -> bool:
     """Sampled test of z L(z) = z M'(z) conj(M(conj z)) where
     L = P1' conj(P1(conj .)) + P2' conj(P2(conj .)).
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .hull import (
-    EPS_HULL,
     HullCertificate,
     Outside,
     _hull2d,
@@ -20,8 +19,8 @@ from .hull import (
 )
 from .qpoly import QPoly, horner, horner_scale, restrict_to_slice, trim_rel
 from .quaternion import I as UNIT_I, J as UNIT_J, K as UNIT_K, Quaternion
-from .roots import (TAU_ZERO, NumericalBreakdown, ZeroSet, _eigen_roots,
-                    zero_set)
+from .roots import NumericalBreakdown, ZeroSet, _eigen_roots, zero_set
+from .tolerances import EPS_CAMPAIGN, EPS_HULL, TAU_SLICE_COMMON, TAU_ZERO
 
 _SQ3 = 1.0 / math.sqrt(3.0)
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -142,7 +141,7 @@ def _slice_critical(sp) -> list[complex]:
     out = []
     for z in _eigen_roots(primary):
         if not other or (abs(horner(other, z))
-                         <= 1e-8 * horner_scale(other, abs(z))):
+                         <= TAU_SLICE_COMMON * horner_scale(other, abs(z))):
             out.append(z)
     out.sort(key=lambda w: (w.real, w.imag))
     return out
@@ -269,7 +268,7 @@ def random_real_poly(rng: random.Random, degree_range=(2, 8)) -> QPoly:
 
 
 def run_verification_campaign(seed: int, trials: int,
-                              eps_hull: float = 1e-6,
+                              eps_hull: float = EPS_CAMPAIGN,
                               tau_zero: float = TAU_ZERO,
                               kind: str = "mixed") -> dict:
     """Run `trials` randomized verifications.

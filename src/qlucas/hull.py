@@ -19,15 +19,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .quaternion import I as UNIT_I, Quaternion, TwoSphere
+from .quaternion import I as UNIT_I, Quaternion, TwoSphere, imag_direction
 from .roots import NumericalBreakdown, ZeroSet
+from .tolerances import (EPS_HULL, TAU_FAN, TAU_GAP_REL, TAU_WEIGHT,
+                         TAU_WEIGHT_SUM, ULP)
 
-EPS_HULL = 1e-8
-# a 4-d Outside distance is exact to _GAP_REL times the scale of the
-# problem, 1 plus the largest modulus among the query and the zero set
-_GAP_REL = 1e-10
 _MAX_ITER = 200
-_ULP = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -45,9 +42,9 @@ class HullCertificate:
         return acc
 
     def check(self, q: Quaternion, tol: float) -> bool:
-        if any(w < -1e-15 for w in self.weights):
+        if any(w < -TAU_WEIGHT for w in self.weights):
             return False
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        if abs(sum(self.weights) - 1.0) > TAU_WEIGHT_SUM:
             return False
         return (self.combination() - q).norm() <= tol
 
@@ -67,11 +64,11 @@ class Outside:
     between its two trace points, so the planar distance equals the
     distance in H. On the 4-d route it is the distance to a point of
     the hull, and a separating plane farther than the collar bounds the
-    true distance from below to within 1e-10 times 1 plus the largest
-    modulus among the query and the zero set. Where the distance is
-    many orders of magnitude below that scale, rounding in the plane's
-    direction can keep the two bounds further apart; the verdict is
-    still proven by the plane."""
+    true distance from below to within TAU_GAP_REL times 1 plus the
+    largest modulus among the query and the zero set. Where the
+    distance is many orders of magnitude below that scale, rounding in
+    the plane's direction can keep the two bounds further apart; the
+    verdict is still proven by the plane."""
 
     distance: float
 
@@ -181,7 +178,7 @@ def _fan_certificate(z: complex, pts: list[complex], hull: list[int]):
         u = (rz.real * (b.imag - o.imag)
              - rz.imag * (b.real - o.real)) / det
         v = ((a.real - o.real) * rz.imag - (a.imag - o.imag) * rz.real) / det
-        if u < -1e-9 or v < -1e-9 or u + v > 1.0 + 1e-9:
+        if u < -TAU_FAN or v < -TAU_FAN or u + v > 1.0 + TAU_FAN:
             continue
         w = [max(0.0, 1.0 - u - v), max(0.0, u), max(0.0, v)]
         tot = sum(w)
@@ -228,7 +225,7 @@ def _affine_min(verts):
     base = b0, b1, b2, b3 = verts[0]
     diffs = [(v0 - b0, v1 - b1, v2 - b2, v3 - b3)
              for v0, v1, v2, v3 in verts[1:]]
-    tol = 4.0 * _ULP * math.sqrt(max(map(_dot, diffs, diffs), default=0.0))
+    tol = 4.0 * ULP * math.sqrt(max(map(_dot, diffs, diffs), default=0.0))
     basis, rcols, kept = [], [], []
     for j, d in enumerate(diffs):
         v, coef = _orthogonalize(d, basis)
@@ -294,7 +291,7 @@ def _membership(q: Quaternion, points: list[Quaternion],
     eps = eps_hull * (1.0 + q.norm())
     scale = 1.0 + max([q.norm()] + [p.norm() for p in points]
                       + [math.hypot(s.x, s.y) for s in spheres])
-    gap = _GAP_REL * scale
+    gap = TAU_GAP_REL * scale
 
     def shifted(p: Quaternion) -> tuple:
         return (p.w - q.w, p.x - q.x, p.y - q.y, p.z - q.z)
@@ -410,11 +407,7 @@ def slice_route(zs: ZeroSet, eps_hull: float = EPS_HULL):
         res = _member2d(zq, pts2, eps_hull * (1.0 + abs(zq)), hull)
         if isinstance(res, Outside):
             return res
-        # Im q / |Im q| from the parts scaled by the largest, so that
-        # tiny and subnormal parts still give a unit vector
-        big = max(abs(q.x), abs(q.y), abs(q.z))
-        v = Quaternion(0.0, q.x / big, q.y / big, q.z / big) if big else UNIT_I
-        unit = v / v.norm()
+        unit = imag_direction(q)
         pairs, slack = res
         return HullCertificate(tuple(lift(i, unit) for i, _ in pairs),
                                tuple(w for _, w in pairs), float(slack))

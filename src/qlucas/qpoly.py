@@ -20,18 +20,16 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .quaternion import Quaternion, TwoSphere, _coerce, orthogonal_unit
-
-TAU_TRIM_REL = 1e-12
-TAU_REAL = 1e-12
+from .tolerances import NORM_SQ_MIN, TAU_REAL, TAU_STAR_ZERO, TAU_TRIM_REL
 
 
 class QPoly:
     """Dense ascending-degree quaternionic polynomial.
 
-    Trailing coefficients with norm at most 1e-12 * max|a_n| are trimmed
-    so the leading coefficient of a nonzero polynomial is significant.
-    The zero polynomial has an empty coefficient tuple and degree -1.
-    A coefficient with an infinite or NaN part is a ValueError.
+    Trailing coefficients with norm at most TAU_TRIM_REL * max|a_n| are
+    trimmed so the leading coefficient of a nonzero polynomial is
+    significant. The zero polynomial has an empty coefficient tuple and
+    degree -1. A coefficient with an infinite or NaN part is a ValueError.
     """
 
     __slots__ = ("parts", "norms", "_coeffs")
@@ -50,8 +48,11 @@ class QPoly:
     def _store(self, w, x, y, z, norms=None) -> "QPoly":
         """Trim by the norms unless given (they are then already trimmed)."""
         if norms is None:
-            norms = tuple(trim_rel([math.sqrt(a * a + b * b + c * c + d * d)
-                                    for a, b, c, d in zip(w, x, y, z)]))
+            norms = tuple(trim_rel([
+                math.sqrt(s) if NORM_SQ_MIN <= s < math.inf
+                else math.hypot(a, b, c, d)
+                for a, b, c, d in zip(w, x, y, z)
+                for s in (a * a + b * b + c * c + d * d,)]))
         self.parts = tuple([tuple(c)[:len(norms)] for c in (w, x, y, z)])
         self.norms = norms
         self._coeffs = None
@@ -148,10 +149,9 @@ class QPoly:
         return max((math.sqrt(x * x + y * y + z * z)
                     for x, y, z in zip(*self.parts[1:])), default=0.0)
 
-    def is_real(self, tol: float | None = None) -> bool:
-        if tol is None:
-            tol = TAU_REAL * (1.0 + self.max_coeff_norm())
-        return self.max_imag_norm() <= tol
+    def is_real(self) -> bool:
+        return (self.max_imag_norm()
+                <= TAU_REAL * (1.0 + self.max_coeff_norm()))
 
     def real_coeffs(self) -> list[float]:
         return list(self.parts[0])
@@ -172,12 +172,12 @@ def _qpoly(w, x, y, z, norms=None) -> QPoly:
     return QPoly.__new__(QPoly)._store(w, x, y, z, norms)
 
 
-def trim_rel(coeffs, mag=abs):
+def trim_rel(coeffs):
     """coeffs without the trailing entries of magnitude at most
     TAU_TRIM_REL times the largest, so all of them when that is 0."""
-    tau = TAU_TRIM_REL * max(map(mag, coeffs), default=0.0)
+    tau = TAU_TRIM_REL * max(map(abs, coeffs), default=0.0)
     keep = len(coeffs)
-    while keep and mag(coeffs[keep - 1]) <= tau:
+    while keep and abs(coeffs[keep - 1]) <= tau:
         keep -= 1
     return coeffs[:keep]
 
@@ -247,15 +247,14 @@ def pointwise_star_eval(p: QPoly, q: QPoly, at: Quaternion) -> Quaternion:
     """
     at = _coerce(at)
     v = p.evaluate(at)
-    # threshold 1e-10 * (1 + sum |a_n| |at|^n): the formula branches on an
-    # exact zero that floating point cannot decide absolutely
+    # threshold TAU_STAR_ZERO * (1 + sum |a_n| |at|^n)
     s = 0.0
     power = 1.0
     r = at.norm()
     for c in p.norms:
         s += c * power
         power *= r
-    if v.norm() <= 1e-10 * (1.0 + s):
+    if v.norm() <= TAU_STAR_ZERO * (1.0 + s):
         return Quaternion()
     inner = v.inverse() * at * v
     return v * q.evaluate(inner)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-TAU_UNIT = 1e-10
-TAU_SPHERE = 1e-8
+from .tolerances import (TAU_CLOSE, TAU_DRAW, TAU_PARALLEL, TAU_SPHERE,
+                         TAU_UNIT, TAU_UNIT_INPUT)
 
 
 class Quaternion:
@@ -123,7 +123,7 @@ class Quaternion:
             raise ValueError("zero quaternion has no inverse")
         return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
-    def isclose(self, other, tol=1e-12) -> bool:
+    def isclose(self, other, tol=TAU_CLOSE) -> bool:
         other = _coerce(other)
         return (self - other).norm() <= tol
 
@@ -156,9 +156,9 @@ class TwoSphere(NamedTuple):
     x: float
     y: float
 
-    def contains(self, q: Quaternion, tol: float = TAU_SPHERE) -> bool:
-        return (abs(q.w - self.x) <= tol
-                and abs(q.im_norm() - self.y) <= tol)
+    def contains(self, q: Quaternion) -> bool:
+        return (abs(q.w - self.x) <= TAU_SPHERE
+                and abs(q.im_norm() - self.y) <= TAU_SPHERE)
 
     def representative(self, unit: Quaternion) -> Quaternion:
         """The point x + unit * y on the sphere."""
@@ -166,26 +166,36 @@ class TwoSphere(NamedTuple):
                           unit.z * self.y)
 
 
-def imag_unit(q: Quaternion, tol: float = TAU_UNIT) -> Quaternion:
+def imag_unit(q: Quaternion) -> Quaternion:
     """Unit imaginary direction Im(q)/|Im(q)| of a non-real quaternion.
 
     Raises ValueError for (numerically) real input: every unit imaginary
     works there and the caller must pick a slice explicitly.
     """
     n = q.im_norm()
-    if n <= tol:
+    if n <= TAU_UNIT:
         raise ValueError("real quaternion has no canonical imaginary unit; "
                          "choose a slice explicitly")
     return Quaternion(0.0, q.x / n, q.y / n, q.z / n)
+
+
+def imag_direction(q: Quaternion) -> Quaternion:
+    """Im q / |Im q| from the parts scaled by the largest, so that tiny,
+    subnormal and huge parts still give a unit vector; I when Im q = 0."""
+    big = max(abs(q.x), abs(q.y), abs(q.z))
+    if not big:
+        return I
+    v = Quaternion(0.0, q.x / big, q.y / big, q.z / big)
+    return v / v.norm()
 
 
 def sphere_of(q: Quaternion) -> TwoSphere:
     return TwoSphere(q.w, q.im_norm())
 
 
-def same_sphere(p: Quaternion, q: Quaternion, tol: float = TAU_SPHERE) -> bool:
-    return (abs(p.w - q.w) <= tol
-            and abs(p.im_norm() - q.im_norm()) <= tol)
+def same_sphere(p: Quaternion, q: Quaternion) -> bool:
+    return (abs(p.w - q.w) <= TAU_SPHERE
+            and abs(p.im_norm() - q.im_norm()) <= TAU_SPHERE)
 
 
 def is_unit_imaginary(q: Quaternion, tol: float = TAU_UNIT) -> bool:
@@ -198,12 +208,12 @@ def orthogonal_unit(unit: Quaternion) -> Quaternion:
     Gram-Schmidt of the first of (i, j, k) not parallel to I; the scan
     order is fixed so equal input bits give equal output bits.
     """
-    if not is_unit_imaginary(unit, tol=1e-6):
+    if not is_unit_imaginary(unit, TAU_UNIT_INPUT):
         raise ValueError("orthogonal_unit needs a unit imaginary quaternion")
     v = (unit.x, unit.y, unit.z)
     for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
         d = axis[0] * v[0] + axis[1] * v[1] + axis[2] * v[2]
-        if abs(d) > 1.0 - 1e-6:
+        if abs(d) > 1.0 - TAU_PARALLEL:
             continue
         ox = axis[0] - d * v[0]
         oy = axis[1] - d * v[1]
@@ -218,5 +228,5 @@ def random_unit_imaginary(rng) -> Quaternion:
     while True:
         x, y, z = rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1)
         n = math.sqrt(x * x + y * y + z * z)
-        if n > 1e-6:
+        if n > TAU_DRAW:
             return Quaternion(0.0, x / n, y / n, z / n)

@@ -6,37 +6,18 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigvals as _lapack_eigvals
 
-from .quaternion import (
-    Quaternion,
-    TAU_UNIT,
-    TwoSphere,
-    is_unit_imaginary,
-)
+from .quaternion import Quaternion, TwoSphere, is_unit_imaginary
 from .qpoly import QPoly, horner, horner_scale, sphere_values, trim_rel
+from .tolerances import (CLUSTER_RADII, TAU_CLUSTER, TAU_COEFF_REAL,
+                         TAU_CONJUGATE, TAU_IM_SNAP, TAU_REACH, TAU_ROOT,
+                         TAU_UNIT, TAU_VALIDATE, TAU_ZERO, ULP)
 
-TAU_CLUSTER = 1e-6
-TAU_ROOT = 1e-8
-TAU_ZERO = 1e-8
-
-# Companion-matrix eigenvalues of an exact m-fold root scatter like
-# eps^(1/m): ~1e-8 for doubles but ~6e-6 for triples and ~2e-4 for
-# quadruples, far outside TAU_CLUSTER. Merging beyond the base radius is
-# therefore attempted down a ladder of radii and accepted only when the
-# merged interpretation is backward-stable: all derivatives below the
-# hypothesized multiplicity must vanish at the polished center within
-# _TAU_VALIDATE of their magnitude bound. Two genuinely distinct roots
-# fail that test unless they are within ~TAU_CLUSTER of each other, in
-# which case merging is the contract anyway.
-_RADII = (2e-2, 2e-3, 2e-4, 2e-5)
-_TAU_VALIDATE = 1e-12
-_IM_SNAP = 1e-12
-_ULP = sys.float_info.epsilon
+_NEWTON_STEPS = 80
 
 
 class NumericalBreakdown(RuntimeError):
@@ -74,7 +55,7 @@ class _derivs:
         return built[order]
 
 
-def _newton(derivs, order: int, z0: complex, max_iter: int = 80) -> complex:
+def _newton(derivs, order: int, z0: complex) -> complex:
     """Newton on the order-th derivative, where the hypothesized root is
     simple. Stops after a step within the spacing of doubles at z, or
     once a step is no shorter than the one before, without taking it:
@@ -85,7 +66,7 @@ def _newton(derivs, order: int, z0: complex, max_iter: int = 80) -> complex:
     dp = derivs[order + 1]
     z = z0
     last = math.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         fp = horner(dp, z)
         if fp == 0:
             break
@@ -93,7 +74,7 @@ def _newton(derivs, order: int, z0: complex, max_iter: int = 80) -> complex:
         if abs(step) >= last:
             break
         z = z - step
-        if abs(step) <= _ULP * abs(z):
+        if abs(step) <= ULP * abs(z):
             break
         last = abs(step)
     if not (abs(z - z0) <= 0.1 * (1.0 + abs(z0))):
@@ -104,7 +85,7 @@ def _newton(derivs, order: int, z0: complex, max_iter: int = 80) -> complex:
 def _validated(derivs, z: complex, mu: int) -> bool:
     for j in range(mu):
         dj = derivs[j]
-        if abs(horner(dj, z)) > _TAU_VALIDATE * horner_scale(dj, abs(z)):
+        if abs(horner(dj, z)) > TAU_VALIDATE * horner_scale(dj, abs(z)):
             return False
     return True
 
@@ -115,7 +96,7 @@ def _components(items, radius_rel: float):
     come sorted by real part, and an edge from z_i to a later z_j has
     d = |z_i - z_j| <= r (1 + |z_i| + d), so for r < 1 it needs
     Re z_j - Re z_i <= d <= r (1 + |z_i|) / (1 - r). The scan over j
-    stops at the first larger gap (widened by 1e-9 against rounding):
+    stops at the first larger gap (widened by TAU_REACH):
     every later gap is larger still, so the edges are the same."""
     n = len(items)
     parent = list(range(n))
@@ -129,7 +110,7 @@ def _components(items, radius_rel: float):
     for i in range(n):
         zi = items[i][0]
         reach = (radius_rel * (1.0 + abs(zi)) / (1.0 - radius_rel)
-                 * (1.0 + 1e-9) if radius_rel < 1.0 else math.inf)
+                 * (1.0 + TAU_REACH) if radius_rel < 1.0 else math.inf)
         for j in range(i + 1, n):
             zj = items[j][0]
             if zj.real - zi.real > reach:
@@ -151,18 +132,18 @@ def _centroid(group):
     return z, m
 
 
-def _agglomerate(items, derivs, tau_cluster: float):
+def _agglomerate(items, derivs):
     def rec(group, level):
         if len(group) == 1:
             return [group[0]]
-        if level >= len(_RADII):
+        if level >= len(CLUSTER_RADII):
             # base radius: merging is mandated, no validation
             out = []
-            for comp in _components(group, tau_cluster):
+            for comp in _components(group, TAU_CLUSTER):
                 z, m = _centroid(comp)
                 out.append([z, m])
             return out
-        radius = _RADII[level]
+        radius = CLUSTER_RADII[level]
         out = []
         for comp in _components(group, radius):
             if len(comp) == 1:
@@ -180,12 +161,11 @@ def _agglomerate(items, derivs, tau_cluster: float):
     return rec(items, 0)
 
 
-def complex_roots(coeffs, tau_cluster: float = TAU_CLUSTER,
-                  tau_root: float = TAU_ROOT) -> list[RootCluster]:
+def complex_roots(coeffs) -> list[RootCluster]:
     """All roots of a complex-coefficient polynomial with multiplicities.
 
     Ascending coefficients. Companion-matrix eigenvalues, agglomerative
-    cluster merging (see note above), then Newton polishing on the
+    cluster merging (see CLUSTER_RADII), then Newton polishing on the
     (multiplicity-1)-th derivative and the residual at each center.
     Real coefficients make the roots conjugate-symmetric, and Horner's
     rule commutes exactly with conjugation, so conjugate clusters polish
@@ -200,7 +180,8 @@ def complex_roots(coeffs, tau_cluster: float = TAU_CLUSTER,
     if len(c) < 2:
         raise ValueError("root finding needs degree >= 1 after trimming")
     deg = len(c) - 1
-    is_real = max(abs(a.imag) for a in c) <= 1e-13 * max(map(abs, c))
+    is_real = (max(abs(a.imag) for a in c)
+               <= TAU_COEFF_REAL * max(map(abs, c)))
     c = [complex(a.real + 0.0) if is_real else complex(a) for a in c]
     raw = _eigen_roots([a.real for a in c] if is_real else c)
     derivs = _derivs(c)
@@ -211,7 +192,7 @@ def complex_roots(coeffs, tau_cluster: float = TAU_CLUSTER,
 
     items = sorted(([z, 1] for z in raw),
                    key=lambda it: (it[0].real, it[0].imag))
-    clusters = _agglomerate(items, derivs, tau_cluster)
+    clusters = _agglomerate(items, derivs)
     if is_real:
         found = _polish_real(clusters, derivs, residual)
     else:
@@ -220,7 +201,7 @@ def complex_roots(coeffs, tau_cluster: float = TAU_CLUSTER,
 
     out = []
     for z, m, res in sorted(found, key=lambda it: (it[0].real, it[0].imag)):
-        if res > tau_root:
+        if res > TAU_ROOT:
             raise NumericalBreakdown(
                 "root residual above tolerance",
                 center=z, multiplicity=m, residual=res)
@@ -258,11 +239,11 @@ def _eigen_roots(c: list) -> list[complex]:
 def _polish_real(clusters, derivs, residual):
     """(center, multiplicity, residual) of the clusters of a real
     polynomial, closed under exact conjugation. Each lower cluster must
-    match an upper one in multiplicity and to 1e-9 relative distance;
-    only the upper one is polished. Centers within _IM_SNAP of the axis,
-    before or after polishing, are put on it."""
+    match an upper one in multiplicity and to TAU_CONJUGATE relative
+    distance; only the upper one is polished. Centers within TAU_IM_SNAP
+    of the axis, before or after polishing, are put on it."""
     def on_axis(z):
-        return abs(z.imag) <= _IM_SNAP * (1.0 + abs(z))
+        return abs(z.imag) <= TAU_IM_SNAP * (1.0 + abs(z))
 
     out, pos, neg = [], [], []
     for z, m in clusters:
@@ -280,7 +261,8 @@ def _polish_real(clusters, derivs, residual):
     pos.sort(key=lambda it: (it[0].real, it[0].imag))
     neg.sort(key=lambda it: (it[0].real, -it[0].imag))
     for (zp, mp), (zn, mn) in zip(pos, neg):
-        if mp != mn or abs(zp - zn.conjugate()) > 1e-9 * (1.0 + abs(zp)):
+        if (mp != mn
+                or abs(zp - zn.conjugate()) > TAU_CONJUGATE * (1.0 + abs(zp))):
             raise NumericalBreakdown(
                 "conjugate pairing failed for a real polynomial",
                 upper=zp, lower=zn)
@@ -328,9 +310,9 @@ class ZeroSet:
     def is_empty(self) -> bool:
         return not self.isolated and not self.spheres
 
-    def is_points_and_spheres(self, tol: float = TAU_UNIT) -> bool:
+    def is_points_and_spheres(self) -> bool:
         """True when every isolated zero is real (no off-axis points)."""
-        return all(z.point.im_norm() <= tol for z in self.isolated)
+        return all(z.point.im_norm() <= TAU_UNIT for z in self.isolated)
 
     def max_modulus(self) -> float:
         vals = [z.point.norm() for z in self.isolated]
@@ -362,8 +344,7 @@ def _sphere_residual(p: QPoly, s: TwoSphere, ab=None) -> float:
     return top / p.eval_scale(math.hypot(s.x, s.y))
 
 
-def classify_sphere(p: QPoly, s: TwoSphere, tau_zero: float = TAU_ZERO,
-                    tau_unit: float = TAU_UNIT):
+def classify_sphere(p: QPoly, s: TwoSphere, tau_zero: float = TAU_ZERO):
     """Classify a candidate sphere of zeros of p.
 
     Returns ("spherical", None), ("isolated", point) or
@@ -381,11 +362,10 @@ def classify_sphere(p: QPoly, s: TwoSphere, tau_zero: float = TAU_ZERO,
         if p.evaluate(q).norm() <= tau_zero * p.eval_scale(abs(s.x)):
             return ("isolated", q)
         return ("not_a_zero", None)
-    return _classify(p, s, sphere_values(p, s.x, s.y), tau_zero, tau_unit)
+    return _classify(p, s, sphere_values(p, s.x, s.y), tau_zero)
 
 
-def _classify(p: QPoly, s: TwoSphere, ab, tau_zero: float,
-              tau_unit: float):
+def _classify(p: QPoly, s: TwoSphere, ab, tau_zero: float):
     """classify_sphere for y > 0 from ab = sphere_values(p, x, y), which
     zero_set then reuses for the residual."""
     a, b = ab
@@ -394,7 +374,7 @@ def _classify(p: QPoly, s: TwoSphere, ab, tau_zero: float,
         return ("spherical", None)
     if b.norm() > tau_zero * scale:
         k = -(a * b.inverse())
-        if is_unit_imaginary(k, tau_unit):
+        if is_unit_imaginary(k):
             return ("isolated", s.representative(k))
     return ("not_a_zero", None)
 
@@ -436,7 +416,7 @@ def zero_set(p: QPoly, tau_zero: float = TAU_ZERO) -> ZeroSet:
         s = TwoSphere(cl.center.real, cl.center.imag)
         t = cl.multiplicity
         ab = sphere_values(p, s.x, s.y)
-        kind, pt = _classify(p, s, ab, tau_zero, TAU_UNIT)
+        kind, pt = _classify(p, s, ab, tau_zero)
         if kind == "spherical":
             if t % 2:
                 raise NumericalBreakdown(

@@ -164,6 +164,29 @@ def test_factor_custom_slice_direction(capsys):
     assert doc["slice"] == pytest.approx([0.6, 0.8, 0.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("direction, want", [
+    ("[1e-170, 0, 0]", [1.0, 0.0, 0.0]),
+    ("[1e200, 1e200, 0]", [0.5 ** 0.5, 0.5 ** 0.5, 0.0]),
+])
+def test_factor_slice_direction_of_any_finite_size(capsys, direction, want):
+    code, out, _ = run(capsys, "factor", "--coeffs", QUADRATIC,
+                       "--slice", direction, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["slice"] == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize("direction", [
+    "[NaN, 0, 0]", "[Infinity, 0, 0]", "[1e400, 0, 0]",
+    pytest.param("[1" + "0" * 400 + ", 0, 0]", id="[10**400, 0, 0]"),
+    "[true, 0, 0]", "[0, false, 1]",
+])
+def test_factor_rejects_a_nonfinite_or_boolean_slice(capsys, direction):
+    code, _, err = run(capsys, "factor", "--coeffs", QUADRATIC,
+                       "--slice", direction)
+    assert code == 2
+    assert "--slice" in err
+
+
 def test_bound_outputs(capsys):
     code, out, _ = run(capsys, "bound", "--coeffs", "[[-3,-4,0,0],[1,0,0,0]]",
                        "--format", "json")

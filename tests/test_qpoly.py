@@ -34,6 +34,17 @@ def test_construction_trims_trailing_zeros():
     assert QPoly().degree == -1
 
 
+@pytest.mark.parametrize("coeffs, degree", [
+    ([1e-170] * 3, 2),      # the squares underflow
+    ([1e200, 1.0], 0),      # they overflow; 1.0 falls under the trim
+    ([1.0, 1e200], 1),
+])
+def test_norms_hold_at_both_ends_of_the_float_range(coeffs, degree):
+    p = QPoly(coeffs)
+    assert p.degree == degree
+    assert p.norms == tuple(coeffs[:degree + 1])
+
+
 def test_evaluation_uses_left_powers():
     # q^2 a with a = j at q = i + k: (i+k)^2 = -2
     p = QPoly([0, 0, J])
