@@ -47,16 +47,18 @@ def _poly_from_obj(obj) -> QPoly:
         raise CLIError("polynomial must be a nonempty coefficient list, "
                        "constant term first")
     coeffs = []
-    for item in obj:
+    for n, item in enumerate(obj):
         if isinstance(item, (int, float)) and not isinstance(item, bool):
-            coeffs.append(Quaternion(float(item)))
-        elif (isinstance(item, list) and len(item) == 4
-              and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      for v in item)):
-            coeffs.append(Quaternion(*item))
-        else:
+            item = [item]
+        elif not (isinstance(item, list) and len(item) == 4
+                  and all(isinstance(v, (int, float))
+                          and not isinstance(v, bool) for v in item)):
             raise CLIError("each coefficient must be a number or a "
                            "[w, x, y, z] list")
+        try:
+            coeffs.append(Quaternion(*item))
+        except OverflowError:       # an integer beyond the float range
+            raise CLIError(f"coefficient {n} is beyond the float range")
     p = QPoly(coeffs)
     if p.is_zero:
         raise CLIError("the zero polynomial cannot be analyzed")

@@ -12,8 +12,7 @@ from typing import Optional
 from .hull import (
     HullCertificate,
     Outside,
-    _hull2d,
-    _member2d,
+    _planar,
     planar_points,
     slice_route,
 )
@@ -162,8 +161,7 @@ def slice_equivalence_check(p: QPoly, units=None,
     if units is None:
         units = _DEFAULT_SLICE_UNITS
     reference = verify_gauss_lucas(p, eps_hull, tau_zero)
-    pts2 = planar_points(reference.zeros)
-    hull = _hull2d(pts2)
+    planar = _planar(planar_points(reference.zeros))
     slices = []
     all_inside = True
     for u in units:
@@ -172,7 +170,7 @@ def slice_equivalence_check(p: QPoly, units=None,
         inside = True
         worst = 0.0
         for z in crits:
-            res = _member2d(z, pts2, eps_hull * (1.0 + abs(z)), hull)
+            res = planar(z, eps_hull * (1.0 + abs(z)))
             if isinstance(res, Outside):
                 inside = False
                 worst = max(worst, res.distance)

@@ -112,14 +112,6 @@ def _hull2d(pts: list[complex]) -> list[int]:
     return hull if len(hull) >= 3 else [uniq[0], uniq[-1]]
 
 
-def _proj_segment(z: complex, a: complex, b: complex):
-    d = b - a
-    den = abs(d) ** 2
-    t = 0.0 if den == 0.0 else ((z - a) * d.conjugate()).real / den
-    t = min(1.0, max(0.0, t))
-    return t, abs(z - (a + t * d))
-
-
 def planar_points(zs: ZeroSet) -> list[complex]:
     """The real parts of the isolated zeros, then x + iy and x - iy for
     each sphere: the generators of the hull's trace on a slice."""
@@ -130,63 +122,79 @@ def planar_points(zs: ZeroSet) -> list[complex]:
     return pts
 
 
-def _member2d(z: complex, pts: list[complex], eps: float, hull=None):
-    """Membership of z in conv(pts) with an eps collar; hull, when
-    given, is _hull2d(pts).
+def _planar(pts: list[complex]):
+    """(z, eps) -> membership of z in conv(pts) with an eps collar: a
+    list of (index, weight) with the slack, or an Outside.
 
-    Returns (list of (index, weight), slack) or an Outside."""
-    if hull is None:
-        hull = _hull2d(pts)
+    The hull (_hull2d), its edges and the triangles of the fan from its
+    first vertex with their determinants are computed once; a query
+    does only its own arithmetic. Inside every edge's half-plane, the
+    first fan triangle whose barycentric coordinates are within TAU_FAN
+    of [0, 1] gives the certificate; otherwise the nearest projection
+    onto an edge covers both the eps collar and tiny float fuzz."""
+    hull = _hull2d(pts)
     if len(hull) == 1:
-        d = abs(z - pts[hull[0]])
-        return ([(hull[0], 1.0)], d) if d <= eps else Outside(d)
-    if len(hull) == 2:
-        a, b = pts[hull[0]], pts[hull[1]]
-        t, d = _proj_segment(z, a, b)
-        if d <= eps:
-            return ([(hull[0], 1.0 - t), (hull[1], t)], d)
-        return Outside(d)
+        (only,) = hull
+        p = pts[only]
+
+        def point(z: complex, eps: float):
+            d = abs(z - p)
+            return ([(only, 1.0)], d) if d <= eps else Outside(d)
+        return point
 
     h = len(hull)
-    inside = all(_cross(pts[hull[i]], pts[hull[(i + 1) % h]], z) >= 0.0
-                 for i in range(h))
-    if inside:
-        cert = _fan_certificate(z, pts, hull)
-        if cert is not None:
-            return cert
-    # boundary projection covers both the eps collar and tiny float fuzz
-    best = None
-    for i in range(h):
-        a, b = pts[hull[i]], pts[hull[(i + 1) % h]]
-        t, d = _proj_segment(z, a, b)
-        if best is None or d < best[0]:
-            best = (d, i, t)
-    d, i, t = best
-    if d <= eps:
-        return ([(hull[i], 1.0 - t), (hull[(i + 1) % h], t)], d)
-    return Outside(d)
-
-
-def _fan_certificate(z: complex, pts: list[complex], hull: list[int]):
+    # (start index, end index, start, end - start, its conjugate and
+    # squared length); a segment has its one edge
+    edges = []
+    for k in range(h if h > 2 else 1):
+        i, j = hull[k], hull[(k + 1) % h]
+        a = pts[i]
+        d = pts[j] - a
+        edges.append((i, j, a, d, d.conjugate(), abs(d) ** 2))
+    # (start, end - start) in floats for the half-plane tests
+    sides = [(a.real, a.imag, d.real, d.imag)
+             for _, _, a, d, _, _ in edges] if h > 2 else []
     o = pts[hull[0]]
-    for i in range(1, len(hull) - 1):
-        a, b = pts[hull[i]], pts[hull[i + 1]]
-        det = _cross(o, a, b)
-        if det == 0.0:
-            continue
-        rz = z - o
-        u = (rz.real * (b.imag - o.imag)
-             - rz.imag * (b.real - o.real)) / det
-        v = ((a.real - o.real) * rz.imag - (a.imag - o.imag) * rz.real) / det
-        if u < -TAU_FAN or v < -TAU_FAN or u + v > 1.0 + TAU_FAN:
-            continue
-        w = [max(0.0, 1.0 - u - v), max(0.0, u), max(0.0, v)]
-        tot = sum(w)
-        w = [x / tot for x in w]
-        comb = w[0] * o + w[1] * a + w[2] * b
-        idx = [hull[0], hull[i], hull[i + 1]]
-        return (list(zip(idx, w)), abs(comb - z))
-    return None
+    fan = []
+    for k in range(1, h - 1):
+        a, b = pts[hull[k]], pts[hull[k + 1]]
+        ax, ay = a.real - o.real, a.imag - o.imag
+        bx, by = b.real - o.real, b.imag - o.imag
+        det = ax * by - ay * bx
+        if det != 0.0:
+            fan.append((hull[k], hull[k + 1], a, b, ax, ay, bx, by, det))
+
+    def member(z: complex, eps: float):
+        zr, zi = z.real, z.imag
+        inside = h > 2
+        for ar, ai, dr, di in sides:
+            if not dr * (zi - ai) - di * (zr - ar) >= 0.0:
+                inside = False
+                break
+        if inside:
+            rz = z - o
+            for i, j, a, b, ax, ay, bx, by, det in fan:
+                u = (rz.real * by - rz.imag * bx) / det
+                v = (ax * rz.imag - ay * rz.real) / det
+                if u < -TAU_FAN or v < -TAU_FAN or u + v > 1.0 + TAU_FAN:
+                    continue
+                w = [max(0.0, 1.0 - u - v), max(0.0, u), max(0.0, v)]
+                tot = sum(w)
+                w = [x / tot for x in w]
+                comb = w[0] * o + w[1] * a + w[2] * b
+                return (list(zip((hull[0], i, j), w)), abs(comb - z))
+        best = None
+        for i, j, a, d, dc, den in edges:
+            t = 0.0 if den == 0.0 else ((z - a) * dc).real / den
+            t = min(1.0, max(0.0, t))
+            dist = abs(z - (a + t * d))
+            if best is None or dist < best[0]:
+                best = (dist, i, j, t)
+        dist, i, j, t = best
+        if dist <= eps:
+            return ([(i, 1.0 - t), (j, t)], dist)
+        return Outside(dist)
+    return member
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +403,25 @@ def slice_route(zs: ZeroSet, eps_hull: float = EPS_HULL):
         spheres = [s.sphere for s in zs.spheres]
         return lambda q: _membership(q, points, spheres, eps_hull)
     pts2 = planar_points(zs)
-    hull = _hull2d(pts2)
+    planar = _planar(pts2)
     n = len(zs.isolated)
-
-    def lift(i: int, unit: Quaternion) -> Quaternion:
-        x, y = pts2[i].real, pts2[i].imag
-        return Quaternion(x) if i < n else Quaternion(x) + y * unit
 
     def member(q: Quaternion):
         zq = complex(q.w, q.im_norm())
-        res = _member2d(zq, pts2, eps_hull * (1.0 + abs(zq)), hull)
+        res = planar(zq, eps_hull * (1.0 + abs(zq)))
         if isinstance(res, Outside):
             return res
-        unit = imag_direction(q)
+        u = imag_direction(q)
         pairs, slack = res
-        return HullCertificate(tuple(lift(i, unit) for i, _ in pairs),
-                               tuple(w for _, w in pairs), float(slack))
+        points = []
+        for i, _ in pairs:
+            x, y = pts2[i].real, pts2[i].imag
+            # x + y u, as Quaternion(x) + y * u adds it
+            points.append(Quaternion(x) if i < n else
+                          Quaternion(x + y * u.w, 0.0 + y * u.x,
+                                     0.0 + y * u.y, 0.0 + y * u.z))
+        return HullCertificate(tuple(points), tuple([w for _, w in pairs]),
+                               float(slack))
     return member
 
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .tolerances import (TAU_CLOSE, TAU_DRAW, TAU_PARALLEL, TAU_SPHERE,
-                         TAU_UNIT, TAU_UNIT_INPUT)
+from .tolerances import (NORM_SQ_MIN, TAU_CLOSE, TAU_DRAW, TAU_PARALLEL,
+                         TAU_SPHERE, TAU_UNIT, TAU_UNIT_INPUT)
 
 
 class Quaternion:
@@ -103,16 +103,24 @@ class Quaternion:
         return self.norm()
 
     def norm(self) -> float:
-        return math.sqrt(self.w * self.w + self.x * self.x
-                         + self.y * self.y + self.z * self.z)
+        """sqrt of the sum of squares, or math.hypot outside the range
+        where that sum is a norm correct to rounding (NORM_SQ_MIN)."""
+        s = (self.w * self.w + self.x * self.x
+             + self.y * self.y + self.z * self.z)
+        if NORM_SQ_MIN <= s < math.inf:
+            return math.sqrt(s)
+        return math.hypot(self.w, self.x, self.y, self.z)
 
     def norm2(self) -> float:
         """Squared norm, exact in the components."""
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def im_norm(self) -> float:
-        """Norm of the vector part."""
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        """Norm of the vector part, computed as norm is."""
+        s = self.x * self.x + self.y * self.y + self.z * self.z
+        if NORM_SQ_MIN <= s < math.inf:
+            return math.sqrt(s)
+        return math.hypot(self.x, self.y, self.z)
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)

@@ -5,6 +5,7 @@ whole 2-spheres."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ from numpy.linalg._umath_linalg import eigvals as _lapack_eigvals
 from .quaternion import Quaternion, TwoSphere, is_unit_imaginary
 from .qpoly import QPoly, horner, horner_scale, sphere_values, trim_rel
 from .tolerances import (CLUSTER_RADII, TAU_CLUSTER, TAU_COEFF_REAL,
-                         TAU_CONJUGATE, TAU_IM_SNAP, TAU_REACH, TAU_ROOT,
+                         TAU_IM_SNAP, TAU_REACH, TAU_ROOT,
                          TAU_UNIT, TAU_VALIDATE, TAU_ZERO, ULP)
 
 _NEWTON_STEPS = 80
@@ -44,6 +45,7 @@ class _derivs:
     def __init__(self, coeffs):
         self._built = [coeffs]
         self._top = max(len(coeffs), 1)  # the order of the final [0j]
+        self._passes = {}
 
     def __getitem__(self, order: int) -> list:
         order = min(order, self._top)
@@ -54,6 +56,16 @@ class _derivs:
                          if len(prev) > 1 else [0j])
         return built[order]
 
+    def newton_pass(self, order: int):
+        """(pairs, d[0]) for _newton on the order-th derivative d: the
+        pairs (d[k], d'[k - 1]) for k = n, ..., 1, built once per order."""
+        got = self._passes.get(order)
+        if got is None:
+            d = self[order]
+            got = self._passes[order] = (
+                list(zip(d[:0:-1], self[order + 1][::-1])), d[0])
+        return got
+
 
 def _newton(derivs, order: int, z0: complex) -> complex:
     """Newton on the order-th derivative, where the hypothesized root is
@@ -61,22 +73,29 @@ def _newton(derivs, order: int, z0: complex) -> complex:
     once a step is no shorter than the one before, without taking it:
     the iterate has then reached the rounding noise, where a threshold
     below the spacing would stop only on an exactly zero step.
-    Returns the start point if the iteration wanders."""
-    d = derivs[order]
-    dp = derivs[order + 1]
+    Returns the start point if the iteration wanders.
+
+    One pass evaluates d and d', one accumulator each, with horner's
+    operations in horner's order: the pass takes d[k] with d'[k - 1]
+    for k = n, ..., 1, then d[0]."""
+    pairs, d0 = derivs.newton_pass(order)
     z = z0
     last = math.inf
     for _ in range(_NEWTON_STEPS):
-        fp = horner(dp, z)
+        f = fp = 0j
+        for c, cp in pairs:
+            f = f * z + c
+            fp = fp * z + cp
         if fp == 0:
             break
-        step = horner(d, z) / fp
-        if abs(step) >= last:
+        step = (f * z + d0) / fp
+        size = abs(step)
+        if size >= last:
             break
         z = z - step
-        if abs(step) <= ULP * abs(z):
+        if size <= ULP * abs(z):
             break
-        last = abs(step)
+        last = size
     if not (abs(z - z0) <= 0.1 * (1.0 + abs(z0))):
         return z0
     return z
@@ -132,33 +151,88 @@ def _centroid(group):
     return z, m
 
 
-def _agglomerate(items, derivs):
-    def rec(group, level):
-        if len(group) == 1:
-            return [group[0]]
-        if level >= len(CLUSTER_RADII):
-            # base radius: merging is mandated, no validation
-            out = []
-            for comp in _components(group, TAU_CLUSTER):
-                z, m = _centroid(comp)
-                out.append([z, m])
-            return out
-        radius = CLUSTER_RADII[level]
-        out = []
-        for comp in _components(group, radius):
-            if len(comp) == 1:
-                out.append(comp[0])
-                continue
-            z0, m = _centroid(comp)
-            zp = _newton(derivs, m - 1, z0)
-            if (abs(zp - z0) <= radius * (1.0 + abs(z0))
-                    and _validated(derivs, zp, m)):
-                out.append([zp, m])
-            else:
-                out.extend(rec(comp, level + 1))
-        return out
+def _order(item):
+    return (item[0].real, item[0].imag)
 
-    return rec(items, 0)
+
+def _agglomerate(items, derivs, level: int = 0):
+    """Clusters [center, multiplicity] of items, [root, 1] sorted by
+    _order, down the ladder of CLUSTER_RADII from the given level."""
+    if len(items) == 1:
+        return [items[0]]
+    if level >= len(CLUSTER_RADII):
+        # base radius: merging is mandated, no validation
+        return [list(_centroid(comp))
+                for comp in _components(items, TAU_CLUSTER)]
+    out = []
+    for comp in _components(items, CLUSTER_RADII[level]):
+        out += _merge(comp, derivs, level)
+    return out
+
+
+def _merge(comp, derivs, level: int):
+    """One component at CLUSTER_RADII[level]: its centroid, polished on
+    the (m-1)-th derivative, when that stays within the radius and
+    validates; otherwise the component's clusters at the next level."""
+    if len(comp) == 1:
+        return [comp[0]]
+    radius = CLUSTER_RADII[level]
+    z0, m = _centroid(comp)
+    zp = _newton(derivs, m - 1, z0)
+    if (abs(zp - z0) <= radius * (1.0 + abs(z0))
+            and _validated(derivs, zp, m)):
+        return [[zp, m]]
+    return _agglomerate(comp, derivs, level + 1)
+
+
+def _on_axis(z: complex) -> bool:
+    return abs(z.imag) <= TAU_IM_SNAP * (1.0 + abs(z))
+
+
+def _mirror_linked(comp, radius: float) -> bool:
+    """True when a component of the roots on the closed upper half-plane
+    holds u and v (u = v allowed) with u linked to the mirror of v:
+    |u - conj v| <= radius (1 + max(|u|, |v|)), the edge test of
+    _components. A real root links to itself."""
+    if len(comp) == 1:
+        u = comp[0][0]
+        return abs(u - u.conjugate()) <= radius * (1.0 + abs(u))
+    for i, (u, _) in enumerate(comp):
+        for v, _ in comp[i:]:
+            if abs(u - v.conjugate()) <= radius * (1.0 + max(abs(u), abs(v))):
+                return True
+    return False
+
+
+def _real_clusters(items, derivs):
+    """The clusters of a real polynomial on the closed upper half-plane,
+    from items, its real roots and the upper member of each conjugate
+    pair, sorted by _order.
+
+    Conjugation maps the links of the roots onto links, and folding a
+    root onto the closed upper half-plane never lengthens one, so each
+    component of the items is the fold of one component of all roots.
+    A component that does not link to its mirror stands for itself and
+    its mirror image, and runs the ladder once; a cluster that Newton
+    moved below the axis is mirrored back, and one on the axis counts
+    twice, as its mirror would. A component that does is the fold of a
+    conjugate-closed one: that set runs the ladder whole, and the
+    clusters above or on the axis are kept."""
+    radius = CLUSTER_RADII[0]
+    out = []
+    for comp in _components(items, radius):
+        if _mirror_linked(comp, radius):
+            closed = sorted(comp + [[z.conjugate(), m] for z, m in comp
+                                    if z.imag > 0], key=_order)
+            out += [c for c in _merge(closed, derivs, 0)
+                    if c[0].imag > 0 or _on_axis(c[0])]
+            continue
+        for z, m in _merge(comp, derivs, 0):
+            if _on_axis(z):
+                out += [[z, m], [z, m]]
+            else:
+                out.append([z if z.imag > 0 else z.conjugate(), m])
+    return out
 
 
 def complex_roots(coeffs) -> list[RootCluster]:
@@ -167,50 +241,77 @@ def complex_roots(coeffs) -> list[RootCluster]:
     Ascending coefficients. Companion-matrix eigenvalues, agglomerative
     cluster merging (see CLUSTER_RADII), then Newton polishing on the
     (multiplicity-1)-th derivative and the residual at each center.
+
     Real coefficients make the roots conjugate-symmetric, and Horner's
-    rule commutes exactly with conjugation, so conjugate clusters polish
-    to exact conjugates with equal residuals: _polish_real pairs them
-    first, then polishes one of each pair and snaps near-axis centers.
+    rule commutes exactly with conjugation, so the work on one half-plane
+    fixes the other. LAPACK's real xGEEV lists each pair x +- iy as
+    adjacent exact conjugates, upper first; only the real roots and the
+    upper members are clustered (_real_clusters), validated and
+    polished, and each off-axis cluster is then mirrored with its
+    residual. Centers within TAU_IM_SNAP of the axis, before or after
+    polishing, are put on it.
     """
     c = list(coeffs)
-    for n, a in enumerate(c):
-        if not cmath.isfinite(a):
-            raise ValueError(f"coefficient {n} is not finite: {a!r}")
+    if not all(map(cmath.isfinite, c)):
+        n, a = next((n, a) for n, a in enumerate(c) if not cmath.isfinite(a))
+        raise ValueError(f"coefficient {n} is not finite: {a!r}")
     c = trim_rel(c)
     if len(c) < 2:
         raise ValueError("root finding needs degree >= 1 after trimming")
     deg = len(c) - 1
-    is_real = (max(abs(a.imag) for a in c)
+    is_real = (max([abs(a.imag) for a in c])
                <= TAU_COEFF_REAL * max(map(abs, c)))
-    c = [complex(a.real + 0.0) if is_real else complex(a) for a in c]
-    raw = _eigen_roots([a.real for a in c] if is_real else c)
+    if is_real:
+        reals = [a.real + 0.0 for a in c]
+        c = list(map(complex, reals))
+    else:
+        c = list(map(complex, c))
     derivs = _derivs(c)
-    mags = [abs(a) for a in derivs[0]]
+    mags = [abs(a) for a in c]
 
     def residual(z):
-        return abs(horner(derivs[0], z)) / horner_scale(mags, abs(z))
+        return abs(horner(c, z)) / horner_scale(mags, abs(z))
 
-    items = sorted(([z, 1] for z in raw),
-                   key=lambda it: (it[0].real, it[0].imag))
-    clusters = _agglomerate(items, derivs)
+    found = []
     if is_real:
-        found = _polish_real(clusters, derivs, residual)
+        raw = _one_per_pair(_eigen_roots(reals))
+        items = sorted(([z, 1] for z in raw), key=_order)
+        for z, m in _real_clusters(items, derivs):
+            if _on_axis(z):
+                x = complex(_newton(derivs, m - 1, z).real, 0.0)
+                found.append((x, m, residual(x)))
+                continue
+            z = _newton(derivs, m - 1, z)
+            zc = z.conjugate()
+            if _on_axis(z):
+                z = zc = complex(z.real, 0.0)
+            res = residual(z)
+            found += [(z, m, res), (zc, m, res)]
     else:
-        polished = [(_newton(derivs, m - 1, z), m) for z, m in clusters]
-        found = [(z, m, residual(z)) for z, m in polished]
+        items = sorted(([z, 1] for z in _eigen_roots(c)), key=_order)
+        for z, m in _agglomerate(items, derivs):
+            z = _newton(derivs, m - 1, z)
+            found.append((z, m, residual(z)))
 
     out = []
-    for z, m, res in sorted(found, key=lambda it: (it[0].real, it[0].imag)):
+    for z, m, res in sorted(found, key=_order):
         if res > TAU_ROOT:
             raise NumericalBreakdown(
                 "root residual above tolerance",
                 center=z, multiplicity=m, residual=res)
         out.append(RootCluster(z, m, res))
-    if sum(r.multiplicity for r in out) != deg:
+    total = sum([m for _, m, _ in found])
+    if total != deg:
         raise NumericalBreakdown("multiplicities do not sum to the degree",
-                                 degree=deg,
-                                 found=sum(r.multiplicity for r in out))
+                                 degree=deg, found=total)
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _subdiagonal(n: int) -> np.ndarray:
+    """The n x n real companion template, ones below the diagonal; it is
+    copied, never written."""
+    return np.eye(n, k=-1)
 
 
 def _eigen_roots(c: list) -> list[complex]:
@@ -219,59 +320,48 @@ def _eigen_roots(c: list) -> list[complex]:
     eigenvalues, then one zero root per zero constant term. The LAPACK
     gufunc behind np.linalg.eigvals (xGEEV) is called directly, as the
     wrapper costs more than LAPACK on small matrices; its two checks,
-    non-finite entries and non-convergence (NaN output), are kept."""
-    k = next(i for i, a in enumerate(c) if a != 0)
+    non-finite entries and non-convergence (NaN output), are kept. A
+    real companion row is divided out in Python floats, the same IEEE
+    operations as numpy's, into a copy of _subdiagonal(n)."""
+    k = 0
+    while c[k] == 0:
+        k += 1
     n = len(c) - 1 - k
     if n == 0:
         return [0j] * k
-    a = np.eye(n, k=-1, dtype=type(c[-1]))
+    lead = c[-1]
     with np.errstate(all="ignore"):
-        a[0] = -np.array(c[k:-1][::-1]) / c[-1]
-        if not np.isfinite(a[0]).all():
+        if isinstance(lead, complex):
+            a = np.eye(n, k=-1, dtype=complex)
+            a[0] = -np.array(c[k:-1][::-1]) / lead
+            finite = np.isfinite(a[0]).all()
+        else:
+            row = [-v / lead for v in reversed(c[k:-1])]
+            finite = all(map(math.isfinite, row))
+            a = _subdiagonal(n).copy()
+            a[0] = row
+        if not finite:
             raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
         sig = "D->D" if a.dtype.kind == "c" else "d->D"
         out = _lapack_eigvals(a, signature=sig).tolist()
-    if any(z != z for z in out):
+    if any(map(cmath.isnan, out)):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return out + [0j] * k
 
 
-def _polish_real(clusters, derivs, residual):
-    """(center, multiplicity, residual) of the clusters of a real
-    polynomial, closed under exact conjugation. Each lower cluster must
-    match an upper one in multiplicity and to TAU_CONJUGATE relative
-    distance; only the upper one is polished. Centers within TAU_IM_SNAP
-    of the axis, before or after polishing, are put on it."""
-    def on_axis(z):
-        return abs(z.imag) <= TAU_IM_SNAP * (1.0 + abs(z))
-
-    out, pos, neg = [], [], []
-    for z, m in clusters:
-        if on_axis(z):
-            x = complex(_newton(derivs, m - 1, z).real, 0.0)
-            out.append((x, m, residual(x)))
-        elif z.imag > 0:
-            pos.append([z, m])
+def _one_per_pair(raw: list) -> list[complex]:
+    """The real eigenvalues and the upper member of each pair, from the
+    list of a real matrix, which holds each pair as (z, conj z)."""
+    out = []
+    it = iter(raw)
+    for z in it:
+        if z.imag > 0 and next(it, None) == z.conjugate():
+            out.append(z)
+        elif z.imag == 0:
+            out.append(z)
         else:
-            neg.append([z, m])
-    if len(pos) != len(neg):
-        raise NumericalBreakdown(
-            "conjugate pairing failed for a real polynomial",
-            unpaired=len(pos) - len(neg))
-    pos.sort(key=lambda it: (it[0].real, it[0].imag))
-    neg.sort(key=lambda it: (it[0].real, -it[0].imag))
-    for (zp, mp), (zn, mn) in zip(pos, neg):
-        if (mp != mn
-                or abs(zp - zn.conjugate()) > TAU_CONJUGATE * (1.0 + abs(zp))):
             raise NumericalBreakdown(
-                "conjugate pairing failed for a real polynomial",
-                upper=zp, lower=zn)
-        z = _newton(derivs, mp - 1, zp)
-        zc = z.conjugate()
-        if on_axis(z):
-            z = zc = complex(z.real, 0.0)
-        res = residual(z)
-        out += [(z, mp, res), (zc, mp, res)]
+                "conjugate pairing failed for a real polynomial", root=z)
     return out
 
 

@@ -60,7 +60,10 @@ TAU_CLUSTER = 1e-6
 # hypothesized multiplicity must vanish at the polished center within
 # TAU_VALIDATE of their magnitude bound. Two genuinely distinct roots
 # fail that test unless they are within ~TAU_CLUSTER of each other, in
-# which case merging is the contract anyway.
+# which case merging is the contract anyway. A real polynomial runs the
+# ladder on the closed upper half-plane only (roots.complex_roots): a
+# component there that links to its own mirror at the first radius,
+# |u - conj v| within it for some u, v, runs it conjugate-closed.
 CLUSTER_RADII = (2e-2, 2e-3, 2e-4, 2e-5)
 TAU_VALIDATE = 1e-12
 # the early stop of the single-linkage scan is widened by this relative
@@ -68,8 +71,6 @@ TAU_VALIDATE = 1e-12
 TAU_REACH = 1e-9
 # a root center within this times 1 + |z| of the real axis is put on it
 TAU_IM_SNAP = 1e-12
-# conjugate clusters of a real polynomial match to this relative distance
-TAU_CONJUGATE = 1e-9
 # residual bound of a root cluster center
 TAU_ROOT = 1e-8
 # default residual bound of a zero of P (tau_zero, --tol-zero)

@@ -187,6 +187,17 @@ def test_factor_rejects_a_nonfinite_or_boolean_slice(capsys, direction):
     assert "--slice" in err
 
 
+@pytest.mark.parametrize("coeffs", [
+    "[1, 1" + "0" * 400 + "]",
+    "[[1, 0, 0, 0], [0, -1" + "0" * 400 + ", 0, 0], 1]",
+], ids=["number", "quaternion part"])
+def test_coefficient_beyond_the_float_range_exits_two(capsys, coeffs):
+    code, out, err = run(capsys, "analyze", "--coeffs", coeffs)
+    assert code == 2
+    assert out == ""
+    assert "coefficient 1 is beyond the float range" in err
+
+
 def test_bound_outputs(capsys):
     code, out, _ = run(capsys, "bound", "--coeffs", "[[-3,-4,0,0],[1,0,0,0]]",
                        "--format", "json")

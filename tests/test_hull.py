@@ -17,11 +17,12 @@ from qlucas.factorization import (
     check_l_identity, fejer_riesz_factor, slice_symmetrization,
 )
 from qlucas.hull import (
-    HullCertificate, Outside, _member2d, hull_membership_4d,
+    HullCertificate, Outside, _planar, hull_membership_4d,
     hull_membership_slice,
 )
 from qlucas.qpoly import QPoly, restrict_to_slice
 from qlucas.quaternion import I, J, K, Quaternion, TwoSphere
+from qlucas.tolerances import TAU_FAN
 from qlucas.roots import (
     IsolatedZero, NumericalBreakdown, SphereZero, ZeroSet, zero_set,
 )
@@ -77,10 +78,10 @@ def assert_sound(cert, q, tol):
 
 def test_planar_triangle_interior_and_exterior():
     pts = [0j, 4 + 0j, 2 + 3j]
-    res = _member2d(2 + 1j, pts, 1e-9)
+    res = _planar(pts)(2 + 1j, 1e-9)
     assert planar_weights(res, pts, 2 + 1j) <= 1e-9
 
-    out = _member2d(2 - 1j, pts, 1e-9)
+    out = _planar(pts)(2 - 1j, 1e-9)
     assert isinstance(out, Outside)
     assert out.distance == pytest.approx(1.0, abs=1e-9)
 
@@ -88,27 +89,27 @@ def test_planar_triangle_interior_and_exterior():
 def test_planar_vertices_and_edges_are_members():
     pts = [0j, 4 + 0j, 2 + 3j]
     for z in pts + [2 + 0j, 1 + 1.5j]:
-        planar_weights(_member2d(z, pts, 1e-9), pts, z)
+        planar_weights(_planar(pts)(z, 1e-9), pts, z)
 
 
 def test_planar_collinear_points_form_a_segment():
     # interior query against unsorted collinear input
     pts = [0.6157 + 0j, -3.810 + 0j, -2.0 + 0j]
-    planar_weights(_member2d(0.3253 + 0j, pts, 1e-9), pts, 0.3253 + 0j)
-    out = _member2d(0.7 + 0j, pts, 1e-9)
+    planar_weights(_planar(pts)(0.3253 + 0j, 1e-9), pts, 0.3253 + 0j)
+    out = _planar(pts)(0.7 + 0j, 1e-9)
     assert isinstance(out, Outside)
     assert out.distance == pytest.approx(0.7 - 0.6157, abs=1e-9)
 
     # vertical segment, query off-axis
     pts = [1 + 1j, 1 + 4j, 1 + 2.5j]
-    planar_weights(_member2d(1 + 3j, pts, 1e-9), pts, 1 + 3j)
-    out = _member2d(1.5 + 3j, pts, 1e-9)
+    planar_weights(_planar(pts)(1 + 3j, 1e-9), pts, 1 + 3j)
+    out = _planar(pts)(1.5 + 3j, 1e-9)
     assert out.distance == pytest.approx(0.5, abs=1e-9)
 
 
 def test_planar_single_point_hull():
-    planar_weights(_member2d(2 + 1j, [2 + 1j], 1e-9), [2 + 1j], 2 + 1j)
-    out = _member2d(2 + 2j, [2 + 1j], 1e-9)
+    planar_weights(_planar([2 + 1j])(2 + 1j, 1e-9), [2 + 1j], 2 + 1j)
+    out = _planar([2 + 1j])(2 + 2j, 1e-9)
     assert out.distance == pytest.approx(1.0, abs=1e-12)
 
 
@@ -116,8 +117,8 @@ def test_planar_eps_collar():
     pts = [0j, 2 + 0j]
     eps = 1e-6
     near = 1 + 0.5e-6j
-    planar_weights(_member2d(near, pts, eps), pts, near)
-    assert isinstance(_member2d(1 + 2e-6j, pts, eps), Outside)
+    planar_weights(_planar(pts)(near, eps), pts, near)
+    assert isinstance(_planar(pts)(1 + 2e-6j, eps), Outside)
 
 
 def test_planar_random_certificates_are_sound():
@@ -128,8 +129,77 @@ def test_planar_random_certificates_are_sound():
         w = [rng.random() for _ in pts]
         tot = sum(w)
         z = sum(wk / tot * pk for wk, pk in zip(w, pts))
-        slack = planar_weights(_member2d(z, pts, 1e-8), pts, z)
+        slack = planar_weights(_planar(pts)(z, 1e-8), pts, z)
         assert slack <= 1e-8
+
+
+def member2d_per_query(z, pts, eps):
+    """Planar membership with every constant worked out per query: the
+    formulas _planar computes once per point set, written out again."""
+    def cross(o, a, b):
+        return ((a.real - o.real) * (b.imag - o.imag)
+                - (a.imag - o.imag) * (b.real - o.real))
+
+    def project(a, b):
+        d = b - a
+        den = abs(d) ** 2
+        t = 0.0 if den == 0.0 else ((z - a) * d.conjugate()).real / den
+        t = min(1.0, max(0.0, t))
+        return t, abs(z - (a + t * d))
+
+    hull_ = hull._hull2d(pts)
+    h = len(hull_)
+    if h == 1:
+        d = abs(z - pts[hull_[0]])
+        return ([(hull_[0], 1.0)], d) if d <= eps else Outside(d)
+    if h > 2 and all(cross(pts[hull_[i]], pts[hull_[(i + 1) % h]], z) >= 0.0
+                     for i in range(h)):
+        o = pts[hull_[0]]
+        for i in range(1, h - 1):
+            a, b = pts[hull_[i]], pts[hull_[i + 1]]
+            det = cross(o, a, b)
+            if det == 0.0:
+                continue
+            rz = z - o
+            u = (rz.real * (b.imag - o.imag)
+                 - rz.imag * (b.real - o.real)) / det
+            v = ((a.real - o.real) * rz.imag
+                 - (a.imag - o.imag) * rz.real) / det
+            if u < -TAU_FAN or v < -TAU_FAN or u + v > 1.0 + TAU_FAN:
+                continue
+            w = [max(0.0, 1.0 - u - v), max(0.0, u), max(0.0, v)]
+            tot = sum(w)
+            w = [x / tot for x in w]
+            comb = w[0] * o + w[1] * a + w[2] * b
+            return (list(zip([hull_[0], hull_[i], hull_[i + 1]], w)),
+                    abs(comb - z))
+    best = None
+    for i in range(h if h > 2 else 1):
+        t, d = project(pts[hull_[i]], pts[hull_[(i + 1) % h]])
+        if best is None or d < best[0]:
+            best = (d, i, t)
+    d, i, t = best
+    if d <= eps:
+        return ([(hull_[i], 1.0 - t), (hull_[(i + 1) % h], t)], d)
+    return Outside(d)
+
+
+def test_planar_hull_built_once_answers_as_per_query_formulas():
+    rng = random.Random(43)
+    for _ in range(300):
+        pts = [complex(rng.uniform(-3, 3),
+                       rng.choice([0.0, rng.uniform(-3, 3)]))
+               for _ in range(rng.randint(1, 9))]
+        member = _planar(pts)
+        queries = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+                   for _ in range(6)]
+        # vertices, edge points and points just off an edge
+        a, b = rng.choice(pts), rng.choice(pts)
+        queries += [a, 0.5 * (a + b), 0.5 * (a + b) + 1e-10j]
+        for z in queries:
+            for eps in (1e-8, 0.5):
+                want = member2d_per_query(z, pts, eps)
+                assert repr(member(z, eps)) == repr(want)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlucas.qpoly import QPoly
+from qlucas.tolerances import NORM_SQ_MIN
 from qlucas.quaternion import (
     I, J, K, ONE, Quaternion, TwoSphere, imag_unit, is_unit_imaginary,
     orthogonal_unit, random_unit_imaginary, same_sphere, sphere_of,
@@ -94,6 +96,31 @@ def test_isclose_and_finiteness():
     assert not q.isclose(Quaternion(1, 2, 3, 4.1))
     assert q.is_finite()
     assert not Quaternion(float("nan")).is_finite()
+
+
+@pytest.mark.parametrize("t", [1e200, 1e-170])
+def test_norms_hold_at_both_ends_of_the_float_range(t):
+    # the sums of squares overflow to inf and underflow to 0 here
+    q = Quaternion(0.0, t, t, 0.0)
+    assert q.norm() == pytest.approx(math.sqrt(2.0) * t, rel=1e-15)
+    assert q.im_norm() == pytest.approx(math.sqrt(2.0) * t, rel=1e-15)
+    assert Quaternion(t, t, t, t).norm() == pytest.approx(2.0 * t, rel=1e-15)
+    # P(q) = q splits q by im_norm
+    value = QPoly([0.0, 1.0]).evaluate(q)
+    for got, want in zip(value.to_list(), q.to_list()):
+        assert got == pytest.approx(want, rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=quats)
+def test_norms_inside_the_range_are_the_root_of_the_sum(q):
+    # bit for bit what the norms were before the range guard
+    s = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z
+    v = q.x * q.x + q.y * q.y + q.z * q.z
+    if s >= NORM_SQ_MIN:
+        assert q.norm() == math.sqrt(s)
+    if v >= NORM_SQ_MIN:
+        assert q.im_norm() == math.sqrt(v)
 
 
 def test_imag_unit_directions():

@@ -4,6 +4,7 @@ import math
 import random
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from qlucas import roots as roots_mod
 from qlucas.quaternion import (
     I, J, K, Quaternion, TwoSphere, is_unit_imaginary, random_unit_imaginary,
 )
-from qlucas.qpoly import QPoly, characteristic_poly, sphere_values, star_mul
+from qlucas.qpoly import (
+    QPoly, characteristic_poly, horner, sphere_values, star_mul,
+)
 from qlucas.roots import (
     NumericalBreakdown, classify_sphere, complex_roots, critical_points,
     zero_set,
@@ -131,26 +134,66 @@ def test_residuals_and_counts():
             assert c.residual <= 1e-8
 
 
-def test_newton_stops_at_the_rounding_noise(monkeypatch):
+def test_newton_stops_at_the_rounding_noise():
     # quadratic convergence from 1e-6 away reaches the noise in a few
     # steps; the loop must end there rather than run on to max_iter
-    calls = []
-    horner = roots_mod.horner
+    steps = []
 
-    def counted(coeffs, z):
-        calls.append(z)
-        return horner(coeffs, z)
+    class Start(complex):
+        """A start point whose Newton updates z - step are counted; the
+        closing z - z0 subtracts a Start and is not a step."""
 
-    monkeypatch.setattr(roots_mod, "horner", counted)
+        def __sub__(self, other):
+            if not isinstance(other, Start):
+                steps.append(other)
+            return Start(complex(self) - other)
+
     rng = random.Random(31)
     for _ in range(100):
         roots = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
                  for _ in range(6)]
         derivs = roots_mod._derivs(poly_from_roots(roots))
-        calls.clear()
-        z = roots_mod._newton(derivs, 0, roots[0] + 1e-6)
+        steps.clear()
+        z = complex(roots_mod._newton(derivs, 0, Start(roots[0] + 1e-6)))
+        assert 1 <= len(steps) <= 8
         assert abs(z - roots[0]) <= 1e-12 * (1.0 + abs(roots[0]))
-        assert len(calls) <= 16      # two evaluations per step
+
+
+def newton_two_horner_passes(derivs, order, z0):
+    """_newton with d and d' evaluated by two horner calls per step: the
+    reference that the fused pass must match bit for bit."""
+    d, dp = derivs[order], derivs[order + 1]
+    z = z0
+    last = math.inf
+    for _ in range(80):
+        fp = horner(dp, z)
+        if fp == 0:
+            break
+        step = horner(d, z) / fp
+        if abs(step) >= last:
+            break
+        z = z - step
+        if abs(step) <= 2.0 ** -52 * abs(z):
+            break
+        last = abs(step)
+    if not (abs(z - z0) <= 0.1 * (1.0 + abs(z0))):
+        return z0
+    return z
+
+
+def test_fused_newton_pass_matches_two_horner_passes():
+    rng = random.Random(37)
+    for _ in range(200):
+        roots = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                 for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.5:
+            roots = [r.real for r in roots]
+        coeffs = [complex(a) for a in poly_from_roots(roots)]
+        derivs = roots_mod._derivs(coeffs)
+        for order in range(len(coeffs)):
+            z0 = roots[0] + complex(rng.gauss(0, 1e-3), rng.gauss(0, 1e-3))
+            want = newton_two_horner_passes(derivs, order, z0)
+            assert repr(roots_mod._newton(derivs, order, z0)) == repr(want)
 
 
 # real polynomials from their roots: (root, multiplicity) for real roots,
@@ -655,3 +698,141 @@ def test_simple_roots_build_only_the_first_derivative(monkeypatch):
         out = complex_roots(coeffs)
         assert all(cl.multiplicity == 1 for cl in out)
         assert len(made) == 1 and len(made[0]._built) <= 2
+
+
+# ---------------------------------------------------------------------------
+# golden pin of complex_roots
+#
+# tests/data/complex_roots_golden.json holds, for a seeded corpus of root
+# finding inputs, the repr of each complex_roots result or the exception it
+# raised. The inputs are stored with the results, so the pin does not move
+# when the code that built them does. A deliberate change of the results is
+# recorded by running `PYTHONPATH=src python tests/test_roots.py`, which
+# rebuilds the corpus and writes the file again.
+
+GOLDEN_ROOTS = (Path(__file__).parent / "data"
+                / "complex_roots_golden.json")
+
+
+def _golden_outcome(coeffs) -> str:
+    try:
+        return repr(complex_roots(coeffs))
+    except (NumericalBreakdown, ValueError) as ex:
+        return f"{type(ex).__name__}: {ex}"
+
+
+def _ball_factor(rng, r):
+    while True:
+        v = [rng.uniform(-1.0, 1.0) for _ in range(4)]
+        if sum(x * x for x in v) <= 1.0:
+            return QPoly([-Quaternion(*(r * x for x in v)), Quaternion(1)])
+
+
+def _product(factors):
+    acc = QPoly([1.0])
+    for f in factors:
+        acc = acc * f
+    return acc
+
+
+def _symmetrizations(p):
+    """The root finding inputs of verify_gauss_lucas on p: P^s, (P')^s."""
+    return [p.symmetrize().real_coeffs(),
+            p.derivative().symmetrize().real_coeffs()]
+
+
+def golden_corpus() -> list:
+    """Seeded inputs: the symmetrizations of factored draws of degree 2-16
+    at radii 0.01, 5 and 1e3 and of products with a sphere factor (double
+    pairs), real draws and their derivatives, pairs within 1e-7 to 1e-4
+    of the axis, roots of multiplicity 2-4, zero constant terms, complex
+    coefficients, coefficients spread over 24 decades, an input
+    that trims to a constant and one whose roots are all 0."""
+    out = []
+    rng = random.Random(1101)
+    for deg in range(2, 17):
+        for r in (0.01, 5.0, 1e3):
+            for _ in range(2 if deg <= 8 else 1):
+                p = _product([_ball_factor(rng, r) for _ in range(deg)])
+                out += _symmetrizations(p)
+    rng = random.Random(1102)
+    for n in range(45):
+        x, y = rng.uniform(-3.0, 3.0), rng.uniform(0.5, 4.0)
+        ring = QPoly([x * x + y * y, -2.0 * x, 1.0])
+        lin = [_ball_factor(rng, 5.0) for _ in range(1 + n % 3)]
+        out += _symmetrizations(_product(lin + [ring]))
+    rng = random.Random(1103)
+    for _ in range(100):
+        deg = rng.randint(2, 12)
+        c = [rng.uniform(-3.0, 3.0) for _ in range(deg + 1)]
+        if abs(c[-1]) < 0.1:
+            c[-1] = 1.0
+        out += [c, [n * a for n, a in enumerate(c) if n >= 1]]
+    rng = random.Random(1104)
+    for _ in range(80):
+        roots = []
+        for _ in range(rng.randint(1, 3)):
+            x = rng.uniform(-3.0, 3.0)
+            y = 10.0 ** rng.uniform(-7.0, -4.0)
+            roots += [complex(x, y), complex(x, -y)] * rng.randint(1, 2)
+        roots += [rng.uniform(-3.0, 3.0) for _ in range(rng.randint(0, 3))]
+        scale = 10.0 ** rng.choice([-2, 0, 3])
+        out.append([float(a) for a in
+                    np.real(poly_from_roots([z * scale for z in roots]))])
+    rng = random.Random(1105)
+    for _ in range(80):
+        roots = []
+        for _ in range(rng.randint(1, 3)):
+            m = rng.randint(2, 4)
+            if rng.random() < 0.5:
+                roots += [rng.uniform(-3.0, 3.0)] * m
+            else:
+                x, y = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)
+                roots += [complex(x, y), complex(x, -y)] * m
+        roots += [rng.uniform(-3.0, 3.0) for _ in range(rng.randint(0, 2))]
+        out.append([float(a) for a in np.real(poly_from_roots(roots))])
+    rng = random.Random(1106)
+    for _ in range(40):
+        deg = rng.randint(1, 8)
+        c = [rng.uniform(-3.0, 3.0) for _ in range(deg)] + [1.0]
+        out.append([0.0] * rng.randint(1, 4) + c)
+    rng = random.Random(1107)
+    for _ in range(30):
+        roots = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                 for _ in range(rng.randint(1, 6))]
+        roots += [roots[0]] * rng.randint(0, 2)
+        c = [complex(a) for a in poly_from_roots(roots)]
+        out.append([0j] * rng.randint(0, 1) + c)
+    rng = random.Random(1108)
+    for _ in range(30):
+        out.append([rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-12, 12)
+                    for _ in range(rng.randint(2, 24))])
+    return out + [[1.0, 1e-13], [0.0, 0.0, 2.0]]
+
+
+def _encode(coeffs):
+    return [[a.real, a.imag] if isinstance(a, complex) else a
+            for a in coeffs]
+
+
+def _decode(coeffs):
+    return [complex(*a) if isinstance(a, list) else a for a in coeffs]
+
+
+def write_golden_roots() -> int:
+    corpus = golden_corpus()
+    data = [{"coeffs": _encode(c), "roots": _golden_outcome(c)}
+            for c in corpus]
+    GOLDEN_ROOTS.write_text(json.dumps(data, indent=0) + "\n")
+    return len(data)
+
+
+def test_complex_roots_match_the_golden_pin():
+    cases = json.loads(GOLDEN_ROOTS.read_text())
+    assert len(cases) > 500
+    for n, case in enumerate(cases):
+        assert _golden_outcome(_decode(case["coeffs"])) == case["roots"], n
+
+
+if __name__ == "__main__":
+    print(write_golden_roots(), "cases written to", GOLDEN_ROOTS)
