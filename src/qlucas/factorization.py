@@ -59,6 +59,8 @@ def fejer_riesz_factor(q_coeffs) -> MFactor:
     multiplicity all mean Q takes negative values and there is no such
     factorization.
     """
+    if isinstance(q_coeffs, np.ndarray):
+        q_coeffs = q_coeffs.tolist()
     q = [complex(c) for c in q_coeffs]
     if not any(q):
         raise ValueError("cannot factor the zero polynomial")
@@ -129,14 +131,18 @@ def check_l_identity(p1, p2, m_coeffs, z_samples,
         base = max(1.0, r)
         return sum(abs(c) * base ** n for n, c in enumerate(coeffs))
 
+    scales = {}         # the scale depends on |z| only
     for z in z_samples:
         z = complex(z)
         lhs = z * (horner(d1, z) * horner(c1, z)
                    + horner(d2, z) * horner(c2, z))
         rhs = z * horner(dm, z) * horner(cm, z)
         r = abs(z)
-        scale = 1.0 + r * (mag(d1, r) * mag(p1, r) + mag(d2, r) * mag(p2, r)
-                           + mag(dm, r) * mag(m, r))
+        scale = scales.get(r)
+        if scale is None:
+            scale = scales[r] = 1.0 + r * (mag(d1, r) * mag(p1, r)
+                                           + mag(d2, r) * mag(p2, r)
+                                           + mag(dm, r) * mag(m, r))
         if abs(lhs - rhs) > rel_tol * scale:
             return False
     return True

@@ -11,15 +11,39 @@ Autom. 4(2), 1988) over the closed-form support map of points and
 spheres, with Wolfe's minor cycle (Math. Prog. 11, 1976) as the distance
 subalgorithm on at most five support points. No sphere is sampled. The
 kernel runs on 4-tuples of Python floats, not numpy arrays: at most four
-vectors in R^4 make numpy's fixed cost per call dominate."""
+vectors in R^4 make numpy's fixed cost per call dominate.
+
+One-ball lemma. Write each zero sphere as x_s + y_s S, with S the unit
+sphere of the imaginary 3-space that every sphere spans, and give each
+generator g (a point c_g, or a sphere with c_s = x_s) a weight
+lam_g >= 0, the weights summing to 1. The hull points that give every
+generator its weight, sum_g lam_g z_g over points z_g of the generators
+with several points of a sphere allowed, form the ball a + rho B, where
+a = sum_g lam_g c_g, rho = sum_s lam_s y_s and B is the unit ball of the
+imaginary 3-space. Proof: points of one sphere with total weight lam_s
+combine to lam_s x_s + y_s v with v in lam_s B, since conv S = B, and
+the balls add, lam B + mu B = (lam + mu) B, as B is convex. Conversely,
+a + rho u with |u| <= 1 is reached by putting u, a convex combination
+of two points of S, on every sphere. So, with a shifted by -q, the
+squared distance from q to the hull is the minimum over the weights of
+h(lam) = a_w^2 + (|a_v| - rho)_+^2, a convex function of at most five
+weights on a face, smooth where |a_v| > rho.
+
+The GJK loop closes the distance bracket only linearly on a curved
+sphere. Once its support plane has proven q outside the collar, the
+kernel finishes by Newton's method on h over the weights of the current
+face's generators, the generator of the newest support point joined at
+weight 0 (_newton). Each iterate is a hull point, so its norm bounds the
+distance from above, and the support plane at it bounds it from below.
+A Newton step that turns a weight negative, leaves |a_v| <= rho or does
+not bring the point nearer falls back to the plain GJK step."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
-from .quaternion import I as UNIT_I, Quaternion, TwoSphere, imag_direction
+from .quaternion import Quaternion, TwoSphere, imag_direction
 from .roots import NumericalBreakdown, ZeroSet
 from .tolerances import (EPS_HULL, TAU_FAN, TAU_GAP_REL, TAU_WEIGHT,
                          TAU_WEIGHT_SUM, ULP)
@@ -68,7 +92,16 @@ class Outside:
     largest modulus among the query and the zero set. Where the
     distance is many orders of magnitude below that scale, rounding in
     the plane's direction can keep the two bounds further apart; the
-    verdict is still proven by the plane."""
+    verdict is still proven by the plane.
+
+    The 4-d distance is settled after the plane has proven the verdict,
+    by Newton's method on the one-ball function of the module
+    docstring: the hull points whose generators have weights lam form
+    one ball a + rho B of the imaginary 3-space, with
+    rho = sum lam_s y_s over the spheres, because every sphere
+    [x_s + I y_s] is x_s plus y_s times the one unit sphere of that
+    space and balls about 0 add radius to radius. The distance returned
+    is the norm of such a hull point, never below the true one."""
 
     distance: float
 
@@ -218,6 +251,67 @@ def _orthogonalize(v, basis):
     return (v0, v1, v2, v3), coef
 
 
+def _factor(verts, carry=None):
+    """QR factorization of the differences verts[k] - verts[0] of
+    4-tuples, Gram-Schmidt run twice: (diffs, big, basis, rcols, kept),
+    with big the largest squared difference, basis orthonormal, rcols
+    the columns of R and kept the indices of the differences they
+    factor. A difference whose orthogonal part is within rounding of
+    zero, at most 4 ulp of the largest difference (the cutoff of numpy's
+    lstsq), is dependent and gets no basis vector.
+
+    carry is the factorization of verts[:-1]. One more difference can
+    only raise the cutoff, so a dependent difference stays dependent;
+    while every basis vector also stays above it, only the new
+    difference is orthogonalized, and the result is bit-identical to a
+    fresh factorization."""
+    b0, b1, b2, b3 = verts[0]
+    start = 0
+    if carry is not None:
+        diffs, big, basis, rcols, kept = carry
+        v0, v1, v2, v3 = verts[-1]
+        d = d0, d1, d2, d3 = v0 - b0, v1 - b1, v2 - b2, v3 - b3
+        big = max(big, d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3)
+        tol = 4.0 * ULP * math.sqrt(big)
+        if all(rc[-1] > tol for rc in rcols):
+            start = len(diffs)
+            diffs = diffs + [d]
+            basis, rcols, kept = basis[:], rcols[:], kept[:]
+        else:
+            carry = None
+    if carry is None:
+        diffs = [(v0 - b0, v1 - b1, v2 - b2, v3 - b3)
+                 for v0, v1, v2, v3 in verts[1:]]
+        big = max([d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+                   for d0, d1, d2, d3 in diffs], default=0.0)
+        tol = 4.0 * ULP * math.sqrt(big)
+        basis, rcols, kept = [], [], []
+    for j in range(start, len(diffs)):
+        (v0, v1, v2, v3), coef = _orthogonalize(diffs[j], basis)
+        r = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3)
+        if r > tol:
+            basis.append((v0 / r, v1 / r, v2 / r, v3 / r))
+            rcols.append(coef + [r])
+            kept.append(j)
+    return diffs, big, basis, rcols, kept
+
+
+def _solve(base, fact):
+    """Weights, summing to 1, of the point of the affine hull nearest the
+    origin, from the factorization of the differences from base: least
+    squares R mu = -Q^T base by back substitution, weight 0 on each
+    dependent difference."""
+    diffs, _, basis, rcols, kept = fact
+    b0, b1, b2, b3 = base
+    mu = [0.0] * len(diffs)
+    for i in reversed(range(len(kept))):
+        s = sum([rcols[k][i] * mu[kept[k]] for k in range(i + 1, len(kept))])
+        u0, u1, u2, u3 = basis[i]
+        ub = u0 * b0 + u1 * b1 + u2 * b2 + u3 * b3
+        mu[kept[i]] = (-ub - s) / rcols[i][i]
+    return [1.0 - sum(mu)] + mu
+
+
 def _affine_min(verts):
     """Weights, summing to 1, of the point of the affine hull of verts
     (4-tuples) nearest the origin, and an orthonormal basis of the span
@@ -225,28 +319,32 @@ def _affine_min(verts):
 
     Least squares on those differences keeps the point accurate when
     vertices nearly coincide, as support points on a sphere do near
-    convergence. It is solved by a QR factorization, Gram-Schmidt run
-    twice, and back substitution. A difference whose orthogonal part is
-    within rounding of zero, at most 4 ulp of the largest difference (the
-    cutoff of numpy's lstsq), is dependent: it gets weight 0 and no basis
+    convergence. It is solved by a QR factorization (_factor) and back
+    substitution. A dependent difference gets weight 0 and no basis
     vector, so Wolfe's cycle drops its vertex."""
-    base = b0, b1, b2, b3 = verts[0]
-    diffs = [(v0 - b0, v1 - b1, v2 - b2, v3 - b3)
-             for v0, v1, v2, v3 in verts[1:]]
-    tol = 4.0 * ULP * math.sqrt(max(map(_dot, diffs, diffs), default=0.0))
-    basis, rcols, kept = [], [], []
-    for j, d in enumerate(diffs):
-        v, coef = _orthogonalize(d, basis)
-        r = math.sqrt(_dot(v, v))
-        if r > tol:
-            basis.append((v[0] / r, v[1] / r, v[2] / r, v[3] / r))
-            rcols.append(coef + [r])
-            kept.append(j)
-    mu = [0.0] * len(diffs)       # R mu = -Q^T base, back substitution
-    for i in reversed(range(len(kept))):
-        s = sum([rcols[k][i] * mu[kept[k]] for k in range(i + 1, len(kept))])
-        mu[kept[i]] = (-_dot(basis[i], base) - s) / rcols[i][i]
-    return [1.0 - sum(mu)] + mu, basis
+    fact = _factor(verts)
+    return _solve(verts[0], fact), fact[2]
+
+
+def _wolfe(verts, lam, carry=None):
+    """_nearest_face, returning the whole factorization of the face kept
+    (see _factor). carry, the factorization of verts[:-1], serves the
+    first affine minimum."""
+    keep = list(range(len(verts)))
+    fact = _factor(verts, carry)
+    while True:
+        mu = _solve(verts[keep[0]], fact)
+        if min(mu) > 0.0:
+            return keep, mu, fact
+        # the first smallest step lam -> mu that zeroes a weight,
+        # lam >= 0 >= mu on the candidates
+        t, drop = min((l / (l - m) if l > m else 0.0, i)
+                      for i, (l, m) in enumerate(zip(lam, mu)) if m <= 0.0)
+        lam = [l + t * (m - l) for l, m in zip(lam, mu)]
+        alive = [i for i, l in enumerate(lam) if l > 0.0 and i != drop]
+        tot = sum([lam[i] for i in alive])
+        keep, lam = [keep[i] for i in alive], [lam[i] / tot for i in alive]
+        fact = _factor([verts[i] for i in keep])
 
 
 def _nearest_face(verts, lam):
@@ -258,29 +356,122 @@ def _nearest_face(verts, lam):
     arithmetic the remaining vertices are affinely independent, at most
     five in R^4. Returns the indices kept, their weights and the basis
     from _affine_min."""
-    keep = list(range(len(verts)))
-    while True:
-        mu, basis = _affine_min([verts[i] for i in keep])
-        if min(mu) > 0.0:
-            return keep, mu, basis
-        # the first smallest step lam -> mu that zeroes a weight,
-        # lam >= 0 >= mu on the candidates
-        t, drop = min((l / (l - m) if l > m else 0.0, i)
-                      for i, (l, m) in enumerate(zip(lam, mu)) if m <= 0.0)
-        lam = [l + t * (m - l) for l, m in zip(lam, mu)]
-        alive = [i for i, l in enumerate(lam) if l > 0.0 and i != drop]
-        tot = sum([lam[i] for i in alive])
-        keep, lam = [keep[i] for i in alive], [lam[i] / tot for i in alive]
+    keep, mu, fact = _wolfe(verts, lam)
+    return keep, mu, fact[2]
 
 
-def _sphere_support(s: TwoSphere, d) -> Quaternion:
-    """Point of the sphere [x + Iy] minimizing <d, .>: x - y d_v / |d_v|,
-    where d_v is the imaginary part of d; any point when d_v = 0."""
-    nv = math.sqrt(d[1] * d[1] + d[2] * d[2] + d[3] * d[3])
+def _sphere_point(x, y, u, q):
+    """The point x + y u of the sphere [x + Iy] for a unit imaginary
+    u = (u1, u2, u3), shifted by -q and as it is: two 4-tuples."""
+    o = (x, u[0] * y, u[1] * y, u[2] * y)
+    return (x - q[0], o[1] - q[1], o[2] - q[2], o[3] - q[3]), o
+
+
+def _direction(d1, d2, d3):
+    """-d_v / |d_v| for the imaginary part d_v of d, the unit of the
+    support point of every sphere in the direction d; i when d_v = 0."""
+    nv = math.sqrt(d1 * d1 + d2 * d2 + d3 * d3)
     if nv == 0.0:
-        return s.representative(UNIT_I)
-    return s.representative(Quaternion(0.0, -d[1] / nv, -d[2] / nv,
-                                       -d[3] / nv))
+        return 1.0, 0.0, 0.0
+    return -d1 / nv, -d2 / nv, -d3 / nv
+
+
+def _support(d, pts, spheres, q):
+    """The hull point minimizing <d, .>: its generator's index (points,
+    then spheres), and the point shifted by -q and as it is. pts holds
+    (shifted, as it is) pairs of 4-tuples, spheres (x, y) pairs; a
+    point wins a tie, and so does the earlier generator."""
+    d0, d1, d2, d3 = d
+    best = None
+    for g, (t, o) in enumerate(pts):
+        val = t[0] * d0 + t[1] * d1 + t[2] * d2 + t[3] * d3
+        if best is None or val < best:
+            best, found = val, (g, t, o)
+    if spheres:
+        u = _direction(d1, d2, d3)
+        for g, (x, y) in enumerate(spheres, len(pts)):
+            t, o = _sphere_point(x, y, u, q)
+            val = d0 * t[0] + d1 * t[1] + d2 * t[2] + d3 * t[3]
+            if best is None or val < best:
+                best, found = val, (g, t, o)
+    return found
+
+
+def _ball(cen, lam):
+    """a = sum lam_g c_g and rho = sum lam_g y_g for generators (c_g, y_g),
+    with |Im a|: the hull points of weights lam form the ball a + rho B
+    of the imaginary 3-space."""
+    a0 = a1 = a2 = a3 = rho = 0.0
+    for l, (c0, c1, c2, c3, y) in zip(lam, cen):
+        a0 += l * c0
+        a1 += l * c1
+        a2 += l * c2
+        a3 += l * c3
+        rho += l * y
+    return a0, a1, a2, a3, rho, math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+
+
+def _newton(cen, lam):
+    """One Newton step on h(lam) = a_w^2 + (|a_v| - rho)^2, the squared
+    distance from the origin to the ball of weights lam (see _ball), over
+    the affine hull of the generators cen, shifted by -q: the new
+    weights, the nearest hull point x = a - rho a_v / |a_v|, |x|^2 and
+    the unit a_v / |a_v|. None when a weight turns negative, when
+    |a_v| <= rho before or after the step, where h is not smooth, or
+    when the Hessian is singular to rounding.
+
+    With n = a_v / |a_v|, delta = |a_v| - rho and the differences
+    (p_j, d_j, e_j) = c_j - c_0 (real part, imaginary part) and
+    y_j - y_0, the gradient of h / 2 in the weight of generator j is
+    a_w p_j + delta s_j with s_j = <n, d_j> - e_j, and its Hessian is
+    p_i p_j + s_i s_j + (delta / |a_v|) (<d_i, d_j> - <n, d_i> <n, d_j>):
+    the curvature of |a_v| across n."""
+    a0, a1, a2, a3, rho, av = _ball(cen, lam)
+    if not av > rho:
+        return None
+    delta = av - rho
+    kappa = delta / av
+    n1, n2, n3 = a1 / av, a2 / av, a3 / av
+    e0, e1, e2, e3, ey = cen[0]
+    cols = []
+    for f0, f1, f2, f3, fy in cen[1:]:
+        d1, d2, d3 = f1 - e1, f2 - e2, f3 - e3
+        nd = n1 * d1 + n2 * d2 + n3 * d3
+        cols.append((f0 - e0, nd - (fy - ey), d1, d2, d3, nd))
+    m = len(cols)
+    # the upper triangle of the Hessian, the gradient on its right, both
+    # halved; symmetric Gaussian elimination, as in a Cholesky solve
+    rows = [[pi * pj + si * sj
+             + kappa * (di1 * dj1 + di2 * dj2 + di3 * dj3 - ti * tj)
+             for pj, sj, dj1, dj2, dj3, tj in cols[i:]]
+            + [a0 * pi + delta * si]
+            for i, (pi, si, di1, di2, di3, ti) in enumerate(cols)]
+    tol = 4.0 * ULP * max([row[0] for row in rows], default=0.0)
+    for i in range(m):
+        ri = rows[i]
+        piv = ri[0]
+        if not piv > tol:
+            return None
+        for j in range(i + 1, m):
+            f = ri[j - i] / piv
+            rj = rows[j]
+            for k in range(j, m + 1):
+                rj[k - j] -= f * ri[k - i]
+    step = [0.0] * m
+    for i in reversed(range(m)):
+        ri = rows[i]
+        step[i] = -(ri[-1] + sum([ri[k - i] * step[k]
+                                  for k in range(i + 1, m)])) / ri[0]
+    lam = [lam[0] - sum(step)] + [l + s for l, s in zip(lam[1:], step)]
+    if min(lam) < 0.0:
+        return None
+    a0, a1, a2, a3, rho, av = _ball(cen, lam)
+    if not av > rho:
+        return None
+    f = rho / av
+    x = (a0, a1 - f * a1, a2 - f * a2, a3 - f * a3)
+    return (lam, x, x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3],
+            (a1 / av, a2 / av, a3 / av))
 
 
 def _membership(q: Quaternion, points: list[Quaternion],
@@ -295,83 +486,131 @@ def _membership(q: Quaternion, points: list[Quaternion],
     a certificate once the combination, recomputed in the original
     coordinates, is within the collar, and Outside once the lower bound
     exceeds the collar and the bracket has closed to the stated gap, or
-    as far as double precision lets it close."""
-    eps = eps_hull * (1.0 + q.norm())
-    scale = 1.0 + max([q.norm()] + [p.norm() for p in points]
-                      + [math.hypot(s.x, s.y) for s in spheres])
-    gap = TAU_GAP_REL * scale
+    as far as double precision lets it close.
 
-    def shifted(p: Quaternion) -> tuple:
-        return (p.w - q.w, p.x - q.x, p.y - q.y, p.z - q.z)
-
-    rel = [shifted(p) for p in points]
-
-    def support(d):
-        """Hull point minimizing <d, .>, shifted and original."""
-        best = None
-        if rel:
-            i = min(range(len(rel)), key=lambda k: _dot(rel[k], d))
-            best = (_dot(rel[i], d), rel[i], points[i])
-        for s in spheres:
-            p = _sphere_support(s, d)
-            t = shifted(p)
-            val = _dot(d, t)
-            if best is None or val < best[0]:
-                best = (val, t, p)
-        return best[1], best[2]
+    Once the lower bound exceeds the collar the verdict is Outside, and
+    only the distance is left to settle. Each step then runs Newton's
+    method on the weights of the face's generators (_newton), the
+    generator of the new support point joined at weight 0, for as long
+    as the weights stay nonnegative and |x| falls, and takes the plain
+    step only when the first Newton step fails. The new face has one
+    vertex per generator of positive weight, each sphere [x + Iy] at
+    its support point x - y n, n the direction of Im x."""
+    qn = q.norm()
+    eps = eps_hull * (1.0 + qn)
+    qt = qw, qx, qy, qz = q.w, q.x, q.y, q.z
+    pts = [((p.w - qw, p.x - qx, p.y - qy, p.z - qz), (p.w, p.x, p.y, p.z))
+           for p in points]
+    sph = [(float(s.x), float(s.y)) for s in spheres]
+    gap = cen = None        # needed once Outside is proven
 
     # start from the generator nearest the query: on a sphere that is
     # the support point in the direction of the shifted centre
-    starts = [(rel[i], points[i]) for i in range(len(rel))]
-    for s in spheres:
-        p = _sphere_support(s, (0.0, -q.x, -q.y, -q.z))
-        starts.append((shifted(p), p))
-    start = min(starts, key=lambda st: _dot(st[0], st[0]))
-    verts, origs = [start[0]], [start[1]]
-    weights = [1.0]
-    x = verts[0]
-    nn = _dot(x, x)
+    u = _direction(-qx, -qy, -qz)
+    best = None
+    for g, (t, o) in enumerate(pts + [_sphere_point(x, y, u, qt)
+                                      for x, y in sph]):
+        tt = t[0] * t[0] + t[1] * t[1] + t[2] * t[2] + t[3] * t[3]
+        if best is None or tt < nn:
+            best, nn, x, orig = g, tt, t, o
+    verts, origs, gens, weights = [x], [orig], [best], [1.0]
+    carry = None
     lower = -math.inf
     for _ in range(_MAX_ITER):
         upper = math.sqrt(nn)
         if upper <= eps:
-            cert = HullCertificate(tuple(origs), tuple(weights), 0.0)
-            slack = (cert.combination() - q).norm()
+            a0 = a1 = a2 = a3 = 0.0
+            for l, (o0, o1, o2, o3) in zip(weights, origs):
+                a0 += l * o0
+                a1 += l * o1
+                a2 += l * o2
+                a3 += l * o3
+            slack = Quaternion(a0 - qw, a1 - qx, a2 - qy, a3 - qz).norm()
             if slack <= eps:
-                return dataclasses.replace(cert, slack=slack)
-        w, orig = support(x)
+                return HullCertificate(tuple([Quaternion(*o) for o in origs]),
+                                       tuple(weights), slack)
+        gw, w, orig = _support(x, pts, sph, qt)
         if upper > 0.0:
-            lower = max(lower, _dot(x, w) / upper)
-        if lower > eps and upper - lower <= gap:
-            return Outside(upper)
+            lower = max(lower, (x[0] * w[0] + x[1] * w[1] + x[2] * w[2]
+                                + x[3] * w[3]) / upper)
+        if lower > eps:
+            if gap is None:
+                gap = TAU_GAP_REL * _scale(qn, points, spheres)
+                # each generator as its shifted centre and radius
+                cen = ([t + (0.0,) for t, _ in pts]
+                       + [(x - qw, -qx, -qy, -qz, y) for x, y in sph])
+            if upper - lower <= gap:
+                return Outside(upper)
+            ids, lam = [], []
+            for g, l in zip(gens + [gw], weights + [0.0]):
+                if g in ids:
+                    lam[ids.index(g)] += l
+                else:
+                    ids.append(g)
+                    lam.append(l)
+            face = [cen[g] for g in ids]
+            unit = None
+            for _ in range(_MAX_ITER):
+                step = _newton(face, lam)
+                if step is None or not step[2] < nn:
+                    break
+                lam, x, nn, unit = step
+            if unit is not None:
+                n1, n2, n3 = unit
+                verts, origs, gens, weights = [], [], [], []
+                for g, l, (c0, c1, c2, c3, y) in zip(ids, lam, face):
+                    if l > 0.0:
+                        verts.append((c0, c1 - y * n1, c2 - y * n2,
+                                      c3 - y * n3))
+                        origs.append(pts[g][1] if g < len(pts) else
+                                     (sph[g - len(pts)][0], -y * n1,
+                                      -y * n2, -y * n3))
+                        gens.append(g)
+                        weights.append(l)
+                carry = None
+                continue
         if len(verts) == 5:
             break       # a full simplex: x is at the origin up to rounding
         cand = verts + [w]
-        keep, lam, basis = _nearest_face(cand, weights + [0.0])
+        keep, lam, fact = _wolfe(cand, weights + [0.0], carry)
         face = [cand[i] for i in keep]
-        x_new = [sum([l * v[c] for l, v in zip(lam, face)]) for c in range(4)]
         if len(keep) == 4:
             # on a facet, take the direction of x from the facet normal,
             # which the differences of its vertices fix far more finely
             # than rounding leaves x itself once |x| is small: the axis
             # the facet's basis covers least, orthogonalized against it
+            basis = fact[2]
             k = min(range(4), key=lambda c: sum(u[c] * u[c] for u in basis))
             normal, _ = _orthogonalize([float(c == k) for c in range(4)],
                                        basis)
             h = _dot(normal, face[0]) / _dot(normal, normal)
             x_new = [h * a for a in normal]
+        else:
+            x_new = [sum([l * v[c] for l, v in zip(lam, face)])
+                     for c in range(4)]
         nn_new = _dot(x_new, x_new)
         if not nn_new < nn:
             break       # no progress left at this precision
-        verts, weights, x, nn = face, lam, x_new, nn_new
-        origs = [(origs + [orig])[i] for i in keep]
+        verts, weights, x, nn, carry = face, lam, x_new, nn_new, fact
+        origs.append(orig)
+        gens.append(gw)
+        origs = [origs[i] for i in keep]
+        gens = [gens[i] for i in keep]
     # the bracket closes no further: far below the scale of the problem,
     # rounding in the direction of x bounds how tight the plane can be
     if lower > eps:
         return Outside(upper)
     raise NumericalBreakdown(
         "hull membership undecided: the collar lies within the distance "
-        "bracket", lower=lower, upper=upper, collar=eps, gap=gap)
+        "bracket", lower=lower, upper=upper, collar=eps,
+        gap=TAU_GAP_REL * _scale(qn, points, spheres))
+
+
+def _scale(qn, points, spheres) -> float:
+    """1 plus the largest modulus among the query (of norm qn) and the
+    zero set: the scale of the stated gap."""
+    return 1.0 + max([qn] + [p.norm() for p in points]
+                     + [math.hypot(s.x, s.y) for s in spheres])
 
 
 # ---------------------------------------------------------------------------

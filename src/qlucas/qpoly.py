@@ -150,6 +150,10 @@ class QPoly:
                     for x, y, z in zip(*self.parts[1:])), default=0.0)
 
     def is_real(self) -> bool:
+        # exactly real coefficients, the common case, need no norms
+        _, x, y, z = self.parts
+        if not (any(x) or any(y) or any(z)):
+            return True
         return (self.max_imag_norm()
                 <= TAU_REAL * (1.0 + self.max_coeff_norm()))
 

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +24,7 @@ from qlucas.hull import (
 )
 from qlucas.qpoly import QPoly, restrict_to_slice
 from qlucas.quaternion import I, J, K, Quaternion, TwoSphere
-from qlucas.tolerances import TAU_FAN
+from qlucas.tolerances import TAU_FAN, TAU_GAP_REL, ULP
 from qlucas.roots import (
     IsolatedZero, NumericalBreakdown, SphereZero, ZeroSet, zero_set,
 )
@@ -284,7 +286,9 @@ def test_exact_hull_closed_form_distances():
     for q, want in cases:
         out = hull_membership_slice(q, zs, 1e-9)
         assert isinstance(out, Outside)
-        assert out.distance == pytest.approx(want, abs=1e-9)
+        # the gap the Outside docstring states, with scale 1 + max(|q|, 3)
+        gap = TAU_GAP_REL * (1.0 + max(q.norm(), 3.0))
+        assert abs(out.distance - want) <= gap
     for q in (Quaternion(0, 0.3, 0, 0.5), Quaternion(0, 0, 0, 2.9),
               Quaternion(0, 0.6, -0.6, 0.4)):
         assert_sound(hull_membership_slice(q, zs, 1e-9), q,
@@ -475,6 +479,285 @@ def test_import_leaves_scipy_out():
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# the exact 4-d kernel against the plain GJK loop it replaced
+
+
+def ref_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def ref_orthogonalize(v, basis):
+    v0, v1, v2, v3 = v
+    coef = [0.0] * len(basis)
+    for _ in range(2):
+        for i, (u0, u1, u2, u3) in enumerate(basis):
+            c = u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3
+            coef[i] += c
+            v0, v1, v2, v3 = v0 - c * u0, v1 - c * u1, v2 - c * u2, v3 - c * u3
+    return (v0, v1, v2, v3), coef
+
+
+def ref_affine_min(verts):
+    base = b0, b1, b2, b3 = verts[0]
+    diffs = [(v0 - b0, v1 - b1, v2 - b2, v3 - b3)
+             for v0, v1, v2, v3 in verts[1:]]
+    tol = 4.0 * ULP * math.sqrt(max(map(ref_dot, diffs, diffs), default=0.0))
+    basis, rcols, kept = [], [], []
+    for j, d in enumerate(diffs):
+        v, coef = ref_orthogonalize(d, basis)
+        r = math.sqrt(ref_dot(v, v))
+        if r > tol:
+            basis.append((v[0] / r, v[1] / r, v[2] / r, v[3] / r))
+            rcols.append(coef + [r])
+            kept.append(j)
+    mu = [0.0] * len(diffs)
+    for i in reversed(range(len(kept))):
+        s = sum([rcols[k][i] * mu[kept[k]] for k in range(i + 1, len(kept))])
+        mu[kept[i]] = (-ref_dot(basis[i], base) - s) / rcols[i][i]
+    return [1.0 - sum(mu)] + mu, basis
+
+
+def ref_nearest_face(verts, lam):
+    keep = list(range(len(verts)))
+    while True:
+        mu, basis = ref_affine_min([verts[i] for i in keep])
+        if min(mu) > 0.0:
+            return keep, mu, basis
+        t, drop = min((l / (l - m) if l > m else 0.0, i)
+                      for i, (l, m) in enumerate(zip(lam, mu)) if m <= 0.0)
+        lam = [l + t * (m - l) for l, m in zip(lam, mu)]
+        alive = [i for i, l in enumerate(lam) if l > 0.0 and i != drop]
+        tot = sum([lam[i] for i in alive])
+        keep, lam = [keep[i] for i in alive], [lam[i] / tot for i in alive]
+
+
+def ref_sphere_support(s, d):
+    nv = math.sqrt(d[1] * d[1] + d[2] * d[2] + d[3] * d[3])
+    if nv == 0.0:
+        return s.representative(I)
+    return s.representative(Quaternion(0.0, -d[1] / nv, -d[2] / nv,
+                                       -d[3] / nv))
+
+
+def ref_membership(q, points, spheres, eps_hull, supports=None):
+    """hull._membership as it was before the Newton finish and the
+    carried factorization: the plain GJK loop on Quaternions, counting
+    its support evaluations in supports[0]."""
+    supports = [0] if supports is None else supports
+    eps = eps_hull * (1.0 + q.norm())
+    scale = 1.0 + max([q.norm()] + [p.norm() for p in points]
+                      + [math.hypot(s.x, s.y) for s in spheres])
+    gap = TAU_GAP_REL * scale
+
+    def shifted(p):
+        return (p.w - q.w, p.x - q.x, p.y - q.y, p.z - q.z)
+
+    rel = [shifted(p) for p in points]
+
+    def support(d):
+        supports[0] += 1
+        best = None
+        if rel:
+            i = min(range(len(rel)), key=lambda k: ref_dot(rel[k], d))
+            best = (ref_dot(rel[i], d), rel[i], points[i])
+        for s in spheres:
+            p = ref_sphere_support(s, d)
+            t = shifted(p)
+            val = ref_dot(d, t)
+            if best is None or val < best[0]:
+                best = (val, t, p)
+        return best[1], best[2]
+
+    starts = [(rel[i], points[i]) for i in range(len(rel))]
+    for s in spheres:
+        p = ref_sphere_support(s, (0.0, -q.x, -q.y, -q.z))
+        starts.append((shifted(p), p))
+    start = min(starts, key=lambda st: ref_dot(st[0], st[0]))
+    verts, origs = [start[0]], [start[1]]
+    weights = [1.0]
+    x = verts[0]
+    nn = ref_dot(x, x)
+    lower = -math.inf
+    for _ in range(hull._MAX_ITER):
+        upper = math.sqrt(nn)
+        if upper <= eps:
+            cert = HullCertificate(tuple(origs), tuple(weights), 0.0)
+            slack = (cert.combination() - q).norm()
+            if slack <= eps:
+                return dataclasses.replace(cert, slack=slack)
+        w, orig = support(x)
+        if upper > 0.0:
+            lower = max(lower, ref_dot(x, w) / upper)
+        if lower > eps and upper - lower <= gap:
+            return Outside(upper)
+        if len(verts) == 5:
+            break
+        cand = verts + [w]
+        keep, lam, basis = ref_nearest_face(cand, weights + [0.0])
+        face = [cand[i] for i in keep]
+        x_new = [sum([l * v[c] for l, v in zip(lam, face)]) for c in range(4)]
+        if len(keep) == 4:
+            k = min(range(4), key=lambda c: sum(u[c] * u[c] for u in basis))
+            normal, _ = ref_orthogonalize([float(c == k) for c in range(4)],
+                                          basis)
+            h = ref_dot(normal, face[0]) / ref_dot(normal, normal)
+            x_new = [h * a for a in normal]
+        nn_new = ref_dot(x_new, x_new)
+        if not nn_new < nn:
+            break
+        verts, weights, x, nn = face, lam, x_new, nn_new
+        origs = [(origs + [orig])[i] for i in keep]
+    if lower > eps:
+        return Outside(upper)
+    raise NumericalBreakdown(
+        "hull membership undecided: the collar lies within the distance "
+        "bracket", lower=lower, upper=upper, collar=eps, gap=gap)
+
+
+def problem_scale(q, points, spheres):
+    return 1.0 + max([q.norm()] + [p.norm() for p in points]
+                     + [math.hypot(s.x, s.y) for s in spheres])
+
+
+def seeded_hull_queries(seed, count):
+    """count (query, points, spheres) of 0-3 points and 1-3 spheres, with
+    queries inside, near and outside the hull."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        points = [rand_q(rng, 3.0) for _ in range(rng.randint(0, 3))]
+        spheres = [TwoSphere(rng.uniform(-3, 3), rng.uniform(0.2, 3))
+                   for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            # a convex combination of zeros, moved off by up to 1
+            members = list(points)
+            for s in spheres:
+                u = rand_q(rng, 1.0)
+                u = Quaternion(0.0, u.x, u.y, u.z)
+                members.append(Quaternion(s.x) + (s.y / u.norm()) * u)
+            w = [rng.random() for _ in members]
+            q = Quaternion()
+            for wk, pk in zip(w, members):
+                q = q + (wk / sum(w)) * pk
+            q = q + rng.choice([0.0, 1e-9, 1e-3, 1.0]) * rand_q(rng, 1.0)
+        else:
+            q = rand_q(rng, 5.0)
+        out.append((q, points, spheres))
+    return out
+
+
+def verdict(f, *args, **kw):
+    try:
+        return f(*args, **kw)
+    except NumericalBreakdown as err:
+        return ("breakdown", err.info)
+
+
+def test_kernel_matches_the_plain_gjk_loop():
+    outside = inside = 0
+    queries = seeded_hull_queries(101, 400) + own_hull_queries(105, 40)
+    for q, points, spheres in queries:
+        for eps_hull in (1e-8, 1e-6):
+            want = verdict(ref_membership, q, points, spheres, eps_hull)
+            got = verdict(hull._membership, q, points, spheres, eps_hull)
+            assert type(got) is type(want)
+            if isinstance(want, Outside):
+                outside += 1
+                gap = TAU_GAP_REL * problem_scale(q, points, spheres)
+                assert abs(got.distance - want.distance) <= gap
+            else:
+                inside += isinstance(want, HullCertificate)
+                assert repr(got) == repr(want)
+    assert outside >= 200 and inside >= 200
+
+
+def own_hull_queries(seed, count):
+    """(query, points, spheres) for the critical points of count products
+    of 1-3 linear factors and one zero sphere, as in the own-hull
+    benchmark."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        x, y = rng.uniform(-3, 3), rng.uniform(0.5, 4)
+        p = QPoly([x * x + y * y, -2.0 * x, 1.0])
+        for _ in range(rng.randint(1, 3)):
+            p = p * QPoly([-rand_q(rng, 3.0), Quaternion(1.0)])
+        zs, crit = zero_set(p), zero_set(p.derivative())
+        points = [z.point for z in zs.isolated]
+        spheres = [s.sphere for s in zs.spheres]
+        out += [(z.point, points, spheres) for z in crit.isolated]
+        out += [(Quaternion(s.sphere.x, s.sphere.y), points, spheres)
+                for s in crit.spheres]
+    return out
+
+
+def test_newton_finish_halves_the_support_evaluations():
+    calls = [0]
+    support = hull._support
+
+    def counted(*args):
+        calls[0] += 1
+        return support(*args)
+
+    ref_counts, counts = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hull, "_support", counted)
+        for q, points, spheres in own_hull_queries(104, 150):
+            ref = [0]
+            want = verdict(ref_membership, q, points, spheres, 1e-8, ref)
+            if not isinstance(want, Outside):
+                continue
+            calls[0] = 0
+            got = hull._membership(q, points, spheres, 1e-8)
+            assert isinstance(got, Outside)
+            ref_counts.append(ref[0])
+            counts.append(calls[0])
+    assert len(counts) >= 40
+    assert statistics.median(counts) <= statistics.median(ref_counts) / 2
+
+
+def test_carried_factorization_is_bit_identical():
+    rng = random.Random(103)
+    orthogonalize = hull._orthogonalize
+    calls = [0]
+
+    def counted(v, basis):
+        calls[0] += 1
+        return orthogonalize(v, basis)
+
+    reused = refactored = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hull, "_orthogonalize", counted)
+        for trial in range(400):
+            kind = trial % 4
+            scale = 10.0 ** rng.uniform(-150, 133 if kind == 3 else 150)
+            verts = [tuple(scale * rng.uniform(-1, 1) for _ in range(4))
+                     for _ in range(rng.randint(2, 5))]
+            if kind == 1:       # a vertex repeated
+                verts.append(rng.choice(verts))
+            elif kind == 2:     # a difference parallel to an earlier one
+                a, b = verts[0], rng.choice(verts[1:])
+                t = rng.uniform(-2, 2)
+                verts.append(tuple(ai + t * (bi - ai)
+                                   for ai, bi in zip(a, b)))
+            elif kind == 3:     # a last difference 1e17 times the others
+                verts.append(tuple(1e17 * scale * rng.uniform(-1, 1)
+                                   for _ in range(4)))
+            carry = hull._factor(verts[:1])
+            for k in range(2, len(verts) + 1):
+                fresh = hull._factor(verts[:k])
+                calls[0] = 0
+                step = hull._factor(verts[:k], carry)
+                assert repr(step) == repr(fresh)
+                if k > 2:
+                    # one new difference orthogonalized, or all of them
+                    reused += calls[0] == 1
+                    refactored += calls[0] == k - 1
+                carry = step
+    assert reused >= 300 and refactored >= 50
 
 
 # ---------------------------------------------------------------------------

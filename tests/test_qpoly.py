@@ -11,6 +11,7 @@ from qlucas.qpoly import (
     QPoly, SlicePoly, characteristic_poly, left_divide_linear,
     pointwise_star_eval, restrict_to_slice, sphere_values, star_mul,
 )
+from qlucas.tolerances import TAU_REAL
 
 
 def rand_q(rng, r=2.0):
@@ -259,6 +260,38 @@ def test_is_real_and_real_coeffs():
     assert QPoly([1.0, -2.0, 3.0]).is_real()
     assert not QPoly([I, Quaternion(1)]).is_real()
     assert QPoly([1.0, 1e-15 * 1j, 2.0]).is_real()
+
+
+def test_is_real_takes_exact_zeros_without_norms(monkeypatch):
+    # the booleans of the norm rule, with exactly real parts decided
+    # before any imaginary norm is taken
+    rng = random.Random(61)
+    polys = []
+    for _ in range(300):
+        size = rng.choice([0.0, -0.0, 1e-300, 1e-14, 1e-12, 1e-11, 1.0])
+        polys.append(QPoly([
+            Quaternion(rng.uniform(-3, 3),
+                       *(size * rng.choice([0, 1]) * rng.uniform(-1, 1)
+                         for _ in range(3)))
+            for _ in range(rng.randint(1, 8))]))
+    want = [p.max_imag_norm() <= TAU_REAL * (1.0 + p.max_coeff_norm())
+            for p in polys]
+    assert {True, False} <= set(want)
+
+    def refuse(self):
+        raise AssertionError("imaginary norms of an exactly real polynomial")
+
+    exact = [not any(any(c) for c in p.parts[1:]) for p in polys]
+    assert any(exact) and not all(exact)
+    monkeypatch.setattr(QPoly, "max_imag_norm", refuse)
+    for p, real, w in zip(polys, exact, want):
+        if real:
+            assert p.is_real()
+        else:
+            monkeypatch.undo()
+            assert p.is_real() == w
+            monkeypatch.setattr(QPoly, "max_imag_norm", refuse)
+    assert QPoly([Quaternion(1.0, -0.0, 0.0, -0.0), Quaternion(2.0)]).is_real()
 
 
 def test_json_roundtrip():
