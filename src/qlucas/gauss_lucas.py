@@ -16,7 +16,8 @@ from .hull import (
     planar_points,
     slice_route,
 )
-from .qpoly import QPoly, horner, horner_scale, restrict_to_slice, trim_rel
+from .qpoly import (QPoly, _symmetrized, horner, horner_scale,
+                    restrict_to_slice, trim_rel)
 from .quaternion import I as UNIT_I, J as UNIT_J, K as UNIT_K, Quaternion
 from .roots import NumericalBreakdown, ZeroSet, _eigen_roots, zero_set
 from .tolerances import EPS_CAMPAIGN, EPS_HULL, TAU_SLICE_COMMON, TAU_ZERO
@@ -199,7 +200,7 @@ def _coefficient_bound(p: QPoly) -> tuple[float, int, int]:
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("bound needs a polynomial of degree >= 1")
-    b = p.symmetrize().real_coeffs()
+    b = _symmetrized(p.parts)
     two_m = len(b) - 1
     lead = abs(b[-1])
     best, best_n = 0.0, 0

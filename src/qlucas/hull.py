@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quaternion import Quaternion, TwoSphere, imag_direction
+from .quaternion import Quaternion, TwoSphere, _direction_parts
 from .roots import NumericalBreakdown, ZeroSet
 from .tolerances import (EPS_HULL, TAU_FAN, TAU_GAP_REL, TAU_WEIGHT,
                          TAU_WEIGHT_SUM, ULP)
@@ -113,32 +113,31 @@ class Outside:
 # planar machinery
 
 
-def _cross(o: complex, a: complex, b: complex) -> float:
-    return ((a.real - o.real) * (b.imag - o.imag)
-            - (a.imag - o.imag) * (b.real - o.real))
-
-
 def _hull2d(pts: list[complex]) -> list[int]:
-    """Indices of hull vertices, counter-clockwise (monotone chain)."""
-    order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))
+    """Indices of hull vertices, counter-clockwise (monotone chain). A
+    chain drops its last vertex b while the cross product
+    (b - a) x (p - a) of its last two vertices, a and b, and the next
+    point p is at most 0."""
+    keys = [(z.real, z.imag) for z in pts]
+    order = sorted(range(len(pts)), key=keys.__getitem__)
     uniq: list[int] = []
     for i in order:
-        if not uniq or pts[i] != pts[uniq[-1]]:
+        if not uniq or keys[i] != keys[uniq[-1]]:
             uniq.append(i)
     if len(uniq) <= 2:
         return uniq
     lower: list[int] = []
-    for i in uniq:
-        while len(lower) > 1 and _cross(pts[lower[-2]], pts[lower[-1]],
-                                        pts[i]) <= 0:
-            lower.pop()
-        lower.append(i)
     upper: list[int] = []
-    for i in reversed(uniq):
-        while len(upper) > 1 and _cross(pts[upper[-2]], pts[upper[-1]],
-                                        pts[i]) <= 0:
-            upper.pop()
-        upper.append(i)
+    for chain, seq in ((lower, uniq), (upper, uniq[::-1])):
+        for i in seq:
+            px, py = keys[i]
+            while len(chain) > 1:
+                ax, ay = keys[chain[-2]]
+                bx, by = keys[chain[-1]]
+                if not (bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0:
+                    break
+                chain.pop()
+            chain.append(i)
     hull = lower[:-1] + upper[:-1]
     # collinear input collapses the chains; the segment endpoints are the
     # lexicographic extremes
@@ -650,15 +649,16 @@ def slice_route(zs: ZeroSet, eps_hull: float = EPS_HULL):
         res = planar(zq, eps_hull * (1.0 + abs(zq)))
         if isinstance(res, Outside):
             return res
-        u = imag_direction(q)
+        uw, ux, uy, uz = _direction_parts(q.x, q.y, q.z)
         pairs, slack = res
         points = []
         for i, _ in pairs:
             x, y = pts2[i].real, pts2[i].imag
-            # x + y u, as Quaternion(x) + y * u adds it
+            # x + y u, u = imag_direction(q), as Quaternion(x) + y * u
+            # adds it
             points.append(Quaternion(x) if i < n else
-                          Quaternion(x + y * u.w, 0.0 + y * u.x,
-                                     0.0 + y * u.y, 0.0 + y * u.z))
+                          Quaternion(x + y * uw, 0.0 + y * ux,
+                                     0.0 + y * uy, 0.0 + y * uz))
         return HullCertificate(tuple(points), tuple([w for _, w in pairs]),
                                float(slack))
     return member

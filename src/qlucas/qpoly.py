@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Sequence
 
-from .quaternion import Quaternion, TwoSphere, _coerce, orthogonal_unit
-from .tolerances import NORM_SQ_MIN, TAU_REAL, TAU_STAR_ZERO, TAU_TRIM_REL
+from .quaternion import (Quaternion, TwoSphere, _coerce, _norm3, _norm4,
+                         orthogonal_unit)
+from .tolerances import TAU_REAL, TAU_STAR_ZERO, TAU_TRIM_REL
 
 
 class QPoly:
@@ -48,11 +49,7 @@ class QPoly:
     def _store(self, w, x, y, z, norms=None) -> "QPoly":
         """Trim by the norms unless given (they are then already trimmed)."""
         if norms is None:
-            norms = tuple(trim_rel([
-                math.sqrt(s) if NORM_SQ_MIN <= s < math.inf
-                else math.hypot(a, b, c, d)
-                for a, b, c, d in zip(w, x, y, z)
-                for s in (a * a + b * b + c * c + d * d,)]))
+            norms = tuple(trim_rel(list(map(_norm4, w, x, y, z))))
         self.parts = tuple([tuple(c)[:len(norms)] for c in (w, x, y, z)])
         self.norms = norms
         self._coeffs = None
@@ -113,14 +110,9 @@ class QPoly:
         return self.evaluate(q)
 
     def evaluate(self, q: Quaternion) -> Quaternion:
-        """P(q) = A + I B, where (A, B) = sphere_values(self, Re q, |Im q|)
-        and I = Im q / |Im q|; A alone when q is real."""
+        """P(q), from _value."""
         q = _coerce(q)
-        y = q.im_norm()
-        a, b = sphere_values(self, q.w, y)
-        if y == 0.0:
-            return a
-        return a + Quaternion(0.0, q.x / y, q.y / y, q.z / y) * b
+        return Quaternion(*_value(self.parts, q.w, q.x, q.y, q.z))
 
     def conjugate(self) -> "QPoly":
         """Coefficientwise quaternionic conjugate P^c."""
@@ -128,15 +120,9 @@ class QPoly:
         return _qpoly(w, *([-v for v in c] for c in (x, y, z)), self.norms)
 
     def symmetrize(self) -> "QPoly":
-        """P^s = P * P^c, real by construction: coefficient n is
-        sum_{s+k=n} <a_s, a_k> in star_mul's order (s outer, k inner), so
-        it is bit for bit the real part of star_mul(self, self.conjugate())."""
-        cs = list(zip(*self.parts))
-        out = [0.0] * max(2 * len(cs) - 1, 0)
-        for s, (aw, ax, ay, az) in enumerate(cs):
-            for n, (bw, bx, by, bz) in enumerate(cs, s):
-                out[n] += aw * bw + ax * bx + ay * by + az * bz
-        return _qpoly(out, *[(0.0,) * len(out)] * 3)
+        """P^s = P * P^c, real by construction (_symmetrized)."""
+        out = _symmetrized(self.parts)
+        return _qpoly(out, *[(0.0,) * len(out)] * 3, tuple(map(abs, out)))
 
     def derivative(self) -> "QPoly":
         return _qpoly(*([n * v for n, v in enumerate(c) if n >= 1]
@@ -150,19 +136,24 @@ class QPoly:
                     for x, y, z in zip(*self.parts[1:])), default=0.0)
 
     def is_real(self) -> bool:
-        # exactly real coefficients, the common case, need no norms
+        """max_imag_norm() <= TAU_REAL (1 + max_coeff_norm()), decided at
+        the first imaginary norm above the bound; exactly real
+        coefficients, the common case, need no norms."""
         _, x, y, z = self.parts
         if not (any(x) or any(y) or any(z)):
             return True
-        return (self.max_imag_norm()
-                <= TAU_REAL * (1.0 + self.max_coeff_norm()))
+        bound = TAU_REAL * (1.0 + self.max_coeff_norm())
+        for a, b, c in zip(x, y, z):
+            if math.sqrt(a * a + b * b + c * c) > bound:
+                return False
+        return True
 
     def real_coeffs(self) -> list[float]:
         return list(self.parts[0])
 
     def eval_scale(self, qnorm: float) -> float:
         """scale(P, q) = sum |a_n| (1 + |q|)^n, the residual yardstick."""
-        return horner_scale(self.norms, qnorm)
+        return _magnitude_scale(self.norms, qnorm)
 
     def to_json_dict(self) -> dict:
         return {"coeffs": [list(c) for c in zip(*self.parts)]}
@@ -186,6 +177,21 @@ def trim_rel(coeffs):
     return coeffs[:keep]
 
 
+def _symmetrized(parts) -> list[float]:
+    """The ascending coefficients of P^s = P * P^c from the parts of P,
+    trimmed as QPoly trims them. Coefficient n is sum_{s+k=n} <a_s, a_k>
+    in star_mul's order (s outer, k inner), so it is bit for bit the real
+    part of star_mul(P, P^c). The norm of a real coefficient is its
+    magnitude: sqrt(c * c) == |c| in binary floating point, and
+    math.hypot(c, 0, 0, 0) == |c| outside the range of the square."""
+    cs = list(zip(*parts))
+    out = [0.0] * max(2 * len(cs) - 1, 0)
+    for s, (aw, ax, ay, az) in enumerate(cs):
+        for n, (bw, bx, by, bz) in enumerate(cs, s):
+            out[n] += aw * bw + ax * bx + ay * by + az * bz
+    return trim_rel(out)
+
+
 def horner(coeffs: Sequence[complex], z: complex) -> complex:
     """Value at z of the polynomial with ascending coefficients."""
     acc = 0j
@@ -196,11 +202,16 @@ def horner(coeffs: Sequence[complex], z: complex) -> complex:
 
 def horner_scale(coeffs, r: float) -> float:
     """sum |c_n| (1 + r)^n, which bounds the terms horner adds at |z| = r."""
+    return _magnitude_scale(map(abs, coeffs), r)
+
+
+def _magnitude_scale(mags, r: float) -> float:
+    """horner_scale from the magnitudes |c_n|, when the caller has them."""
     base = 1.0 + r
     s = 0.0
     p = 1.0
-    for c in coeffs:
-        s += abs(c) * p
+    for m in mags:
+        s += m * p
         p *= base
     return s
 
@@ -215,15 +226,38 @@ def sphere_values(p: QPoly, x: float,
     of P (the w, x, y and z parts of the coefficients). One Horner pass
     with four complex accumulators; no Hamilton product.
     """
+    v = _sphere_parts(p.parts, x, y)
+    return Quaternion(*v[:4]), Quaternion(*v[4:])
+
+
+def _sphere_parts(parts, x: float, y: float) -> tuple[float, ...]:
+    """The eight floats of sphere_values(P, x, y), A's parts then B's,
+    from the parts of P."""
     z = complex(x, y)
     aw = ax = ay = az = 0j
-    for cw, cx, cy, cz in zip(*map(reversed, p.parts)):
+    for cw, cx, cy, cz in zip(*map(reversed, parts)):
         aw = aw * z + cw
         ax = ax * z + cx
         ay = ay * z + cy
         az = az * z + cz
-    return (Quaternion(aw.real, ax.real, ay.real, az.real),
-            Quaternion(aw.imag, ax.imag, ay.imag, az.imag))
+    return (aw.real, ax.real, ay.real, az.real,
+            aw.imag, ax.imag, ay.imag, az.imag)
+
+
+def _value(parts, w: float, x: float, y: float,
+           z: float) -> tuple[float, float, float, float]:
+    """The parts of P(q), q = w + x i + y j + z k, from the parts of P:
+    A + I B with (A, B) = sphere_values(P, w, |Im q|) and the Hamilton
+    product I B written out, I = Im q / |Im q|; A alone when q is real."""
+    r = _norm3(x, y, z)
+    aw, ax, ay, az, bw, bx, by, bz = _sphere_parts(parts, w, r)
+    if r == 0.0:
+        return aw, ax, ay, az
+    ux, uy, uz = x / r, y / r, z / r
+    return (aw + (0.0 * bw - ux * bx - uy * by - uz * bz),
+            ax + (0.0 * bx + ux * bw + uy * bz - uz * by),
+            ay + (0.0 * by - ux * bz + uy * bw + uz * bx),
+            az + (0.0 * bz + ux * by - uy * bx + uz * bw))
 
 
 def star_mul(p: QPoly, q: QPoly) -> QPoly:

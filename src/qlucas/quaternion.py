@@ -105,11 +105,7 @@ class Quaternion:
     def norm(self) -> float:
         """sqrt of the sum of squares, or math.hypot outside the range
         where that sum is a norm correct to rounding (NORM_SQ_MIN)."""
-        s = (self.w * self.w + self.x * self.x
-             + self.y * self.y + self.z * self.z)
-        if NORM_SQ_MIN <= s < math.inf:
-            return math.sqrt(s)
-        return math.hypot(self.w, self.x, self.y, self.z)
+        return _norm4(self.w, self.x, self.y, self.z)
 
     def norm2(self) -> float:
         """Squared norm, exact in the components."""
@@ -117,10 +113,7 @@ class Quaternion:
 
     def im_norm(self) -> float:
         """Norm of the vector part, computed as norm is."""
-        s = self.x * self.x + self.y * self.y + self.z * self.z
-        if NORM_SQ_MIN <= s < math.inf:
-            return math.sqrt(s)
-        return math.hypot(self.x, self.y, self.z)
+        return _norm3(self.x, self.y, self.z)
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
@@ -137,6 +130,22 @@ class Quaternion:
 
     def is_finite(self) -> bool:
         return all(math.isfinite(c) for c in (self.w, self.x, self.y, self.z))
+
+
+def _norm4(w: float, x: float, y: float, z: float) -> float:
+    """Quaternion(w, x, y, z).norm() on the four floats."""
+    s = w * w + x * x + y * y + z * z
+    if NORM_SQ_MIN <= s < math.inf:
+        return math.sqrt(s)
+    return math.hypot(w, x, y, z)
+
+
+def _norm3(x: float, y: float, z: float) -> float:
+    """The norm of the vector x i + y j + z k, computed as _norm4 is."""
+    s = x * x + y * y + z * z
+    if NORM_SQ_MIN <= s < math.inf:
+        return math.sqrt(s)
+    return math.hypot(x, y, z)
 
 
 def _coerce(value):
@@ -190,11 +199,18 @@ def imag_unit(q: Quaternion) -> Quaternion:
 def imag_direction(q: Quaternion) -> Quaternion:
     """Im q / |Im q| from the parts scaled by the largest, so that tiny,
     subnormal and huge parts still give a unit vector; I when Im q = 0."""
-    big = max(abs(q.x), abs(q.y), abs(q.z))
+    return Quaternion(*_direction_parts(q.x, q.y, q.z))
+
+
+def _direction_parts(x: float, y: float,
+                     z: float) -> tuple[float, float, float, float]:
+    """The four parts of imag_direction(Quaternion(0, x, y, z))."""
+    big = max(abs(x), abs(y), abs(z))
     if not big:
-        return I
-    v = Quaternion(0.0, q.x / big, q.y / big, q.z / big)
-    return v / v.norm()
+        return 0.0, 1.0, 0.0, 0.0
+    vx, vy, vz = x / big, y / big, z / big
+    n = _norm4(0.0, vx, vy, vz)
+    return 0.0 / n, vx / n, vy / n, vz / n
 
 
 def sphere_of(q: Quaternion) -> TwoSphere:

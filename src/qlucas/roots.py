@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg._umath_linalg import eigvals as _lapack_eigvals
 
-from .quaternion import Quaternion, TwoSphere, is_unit_imaginary
-from .qpoly import QPoly, horner, horner_scale, sphere_values, trim_rel
+from .quaternion import Quaternion, TwoSphere, _norm3, _norm4
+from .qpoly import (QPoly, _magnitude_scale, _sphere_parts, _symmetrized,
+                    _value, horner, horner_scale, trim_rel)
 from .tolerances import (CLUSTER_RADII, TAU_CLUSTER, TAU_COEFF_REAL,
                          TAU_IM_SNAP, TAU_REACH, TAU_ROOT,
                          TAU_UNIT, TAU_VALIDATE, TAU_ZERO, ULP)
@@ -118,14 +119,7 @@ def _components(items, radius_rel: float):
     stops at the first larger gap (widened by TAU_REACH):
     every later gap is larger still, so the edges are the same."""
     n = len(items)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    edges = []
     for i in range(n):
         zi = items[i][0]
         reach = (radius_rel * (1.0 + abs(zi)) / (1.0 - radius_rel)
@@ -136,9 +130,21 @@ def _components(items, radius_rel: float):
                 break
             lim = 1.0 + max(abs(zi), abs(zj))
             if abs(zi - zj) <= radius_rel * lim:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+                edges.append((i, j))
+    if not edges:
+        return [[it] for it in items]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
     groups: dict[int, list] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(items[i])
@@ -194,9 +200,6 @@ def _mirror_linked(comp, radius: float) -> bool:
     holds u and v (u = v allowed) with u linked to the mirror of v:
     |u - conj v| <= radius (1 + max(|u|, |v|)), the edge test of
     _components. A real root links to itself."""
-    if len(comp) == 1:
-        u = comp[0][0]
-        return abs(u - u.conjugate()) <= radius * (1.0 + abs(u))
     for i, (u, _) in enumerate(comp):
         for v, _ in comp[i:]:
             if abs(u - v.conjugate()) <= radius * (1.0 + max(abs(u), abs(v))):
@@ -217,10 +220,18 @@ def _real_clusters(items, derivs):
     moved below the axis is mirrored back, and one on the axis counts
     twice, as its mirror would. A component that does is the fold of a
     conjugate-closed one: that set runs the ladder whole, and the
-    clusters above or on the axis are kept."""
+    clusters above or on the axis are kept.
+
+    A singleton component is its own cluster unless it is a non-real
+    root linked to its own mirror, so when every component is a
+    singleton and none is so linked, the clusters are the items."""
     radius = CLUSTER_RADII[0]
+    comps = _components(items, radius)
+    if len(comps) == len(items) and not any(
+            it[0].imag and _mirror_linked([it], radius) for it in items):
+        return items
     out = []
-    for comp in _components(items, radius):
+    for comp in comps:
         if _mirror_linked(comp, radius):
             closed = sorted(comp + [[z.conjugate(), m] for z, m in comp
                                     if z.imag > 0], key=_order)
@@ -251,6 +262,19 @@ def complex_roots(coeffs) -> list[RootCluster]:
     residual. Centers within TAU_IM_SNAP of the axis, before or after
     polishing, are put on it.
     """
+    found, upper = _root_clusters(coeffs)
+    if upper:
+        found = _mirrored(found)
+    return [RootCluster(*cl) for cl in found]
+
+
+def _root_clusters(coeffs) -> tuple[list, bool]:
+    """The core of complex_roots, with its breakdowns: (clusters, upper),
+    the clusters as (center, multiplicity, residual) tuples sorted by
+    _order. For real coefficients upper is True and the clusters cover
+    the closed upper half-plane, the real ones and the upper member of
+    each conjugate pair, which is all zero_set reads; _mirrored adds the
+    rest."""
     c = list(coeffs)
     if not all(map(cmath.isfinite, c)):
         n, a = next((n, a) for n, a in enumerate(c) if not cmath.isfinite(a))
@@ -270,41 +294,62 @@ def complex_roots(coeffs) -> list[RootCluster]:
     mags = [abs(a) for a in c]
 
     def residual(z):
-        return abs(horner(c, z)) / horner_scale(mags, abs(z))
+        return abs(horner(c, z)) / _magnitude_scale(mags, abs(z))
 
     found = []
     if is_real:
+        total = 0
         raw = _one_per_pair(_eigen_roots(reals))
         items = sorted(([z, 1] for z in raw), key=_order)
         for z, m in _real_clusters(items, derivs):
             if _on_axis(z):
                 x = complex(_newton(derivs, m - 1, z).real, 0.0)
                 found.append((x, m, residual(x)))
+                total += m
                 continue
             z = _newton(derivs, m - 1, z)
-            zc = z.conjugate()
+            total += 2 * m
             if _on_axis(z):
-                z = zc = complex(z.real, 0.0)
+                z = complex(z.real, 0.0)
+                res = residual(z)
+                found += [(z, m, res), (z, m, res)]
+                continue
             res = residual(z)
-            found += [(z, m, res), (zc, m, res)]
+            found.append((z if z.imag > 0 else z.conjugate(), m, res))
     else:
         items = sorted(([z, 1] for z in _eigen_roots(c)), key=_order)
         for z, m in _agglomerate(items, derivs):
             z = _newton(derivs, m - 1, z)
             found.append((z, m, residual(z)))
+        total = sum([m for _, m, _ in found])
 
-    out = []
-    for z, m, res in sorted(found, key=_order):
-        if res > TAU_ROOT:
-            raise NumericalBreakdown(
-                "root residual above tolerance",
-                center=z, multiplicity=m, residual=res)
-        out.append(RootCluster(z, m, res))
-    total = sum([m for _, m, _ in found])
+    found.sort(key=_order)
+    if any([res > TAU_ROOT for _, _, res in found]):
+        # a conjugate pair shares its residual; name the first failing
+        # cluster of the full list, as complex_roots lists them
+        full = _mirrored(found) if is_real else found
+        z, m, res = next(cl for cl in full if cl[2] > TAU_ROOT)
+        raise NumericalBreakdown(
+            "root residual above tolerance",
+            center=z, multiplicity=m, residual=res)
     if total != deg:
         raise NumericalBreakdown("multiplicities do not sum to the degree",
                                  degree=deg, found=total)
-    return out
+    return found, is_real
+
+
+def _mirrored(upper: list) -> list:
+    """All clusters of a real polynomial from those on the closed upper
+    half-plane, sorted by _order: each off-axis one with its conjugate.
+    The sort is stable, so the list is the one that sorting every
+    cluster in the order polishing found them gives."""
+    out = []
+    for cl in upper:
+        out.append(cl)
+        z, m, res = cl
+        if z.imag:
+            out.append((z.conjugate(), m, res))
+    return sorted(out, key=_order)
 
 
 @functools.lru_cache(maxsize=32)
@@ -419,19 +464,25 @@ class ZeroSet:
         }
 
 
-def _sphere_residual(p: QPoly, s: TwoSphere, ab=None) -> float:
+def _sphere_residual(p: QPoly, x: float, y: float, v=None) -> float:
     """Exact maximum of |P| / eval_scale(hypot(x, y)) over the whole
     sphere [x + Iy], or at the real point x when y = 0.
 
-    With P(x + Iy) = A + I B (sphere_values, or ab when the caller has
-    them), |A + I B|^2 = |A|^2 + |B|^2 - 2 <Im(B A^c), I>, so the
-    maximum is sqrt(|A|^2 + |B|^2 + 2 |Im(B A^c)|), attained at
+    With P(x + Iy) = A + I B (the eight floats v of sphere_values, or
+    _sphere_parts when the caller has none), |A + I B|^2 =
+    |A|^2 + |B|^2 - 2 <Im(B A^c), I>, so the maximum is
+    sqrt(|A|^2 + |B|^2 + 2 |Im(B A^c)|), attained at
     I = -Im(B A^c) / |Im(B A^c)| (at every I when Im(B A^c) = 0).
     """
-    a, b = ab or sphere_values(p, s.x, s.y)
-    cross = (b * a.conjugate()).im_norm()
-    top = math.sqrt(a.norm2() + b.norm2() + 2.0 * cross)
-    return top / p.eval_scale(math.hypot(s.x, s.y))
+    aw, ax, ay, az, bw, bx, by, bz = v or _sphere_parts(p.parts, x, y)
+    # the vector part of the Hamilton product B A^c, A^c = (aw, cx, cy, cz)
+    cx, cy, cz = -ax, -ay, -az
+    cross = _norm3(bw * cx + bx * aw + by * cz - bz * cy,
+                   bw * cy - bx * cz + by * aw + bz * cx,
+                   bw * cz + bx * cy - by * cx + bz * aw)
+    top = math.sqrt((aw * aw + ax * ax + ay * ay + az * az)
+                    + (bw * bw + bx * bx + by * by + bz * bz) + 2.0 * cross)
+    return top / p.eval_scale(math.hypot(x, y))
 
 
 def classify_sphere(p: QPoly, s: TwoSphere, tau_zero: float = TAU_ZERO):
@@ -452,21 +503,39 @@ def classify_sphere(p: QPoly, s: TwoSphere, tau_zero: float = TAU_ZERO):
         if p.evaluate(q).norm() <= tau_zero * p.eval_scale(abs(s.x)):
             return ("isolated", q)
         return ("not_a_zero", None)
-    return _classify(p, s, sphere_values(p, s.x, s.y), tau_zero)
+    return _classify(p, s.x, s.y, _sphere_parts(p.parts, s.x, s.y), tau_zero)
 
 
-def _classify(p: QPoly, s: TwoSphere, ab, tau_zero: float):
-    """classify_sphere for y > 0 from ab = sphere_values(p, x, y), which
-    zero_set then reuses for the residual."""
-    a, b = ab
-    scale = p.eval_scale(math.hypot(s.x, s.y))
-    if a.norm() <= tau_zero * scale and b.norm() <= tau_zero * scale:
+def _classify(p: QPoly, x: float, y: float, v, tau_zero: float):
+    """classify_sphere for y > 0 from the eight floats v of
+    sphere_values(p, x, y), which zero_set then reuses for the residual.
+    K = -A B^{-1}, the TAU_UNIT test of is_unit_imaginary and the point
+    x + K y take the IEEE operations of the Quaternion methods, in their
+    order; the point is the one Quaternion built."""
+    aw, ax, ay, az, bw, bx, by, bz = v
+    bound = tau_zero * p.eval_scale(math.hypot(x, y))
+    nb = _norm4(bw, bx, by, bz)
+    if _norm4(aw, ax, ay, az) <= bound and nb <= bound:
         return ("spherical", None)
-    if b.norm() > tau_zero * scale:
-        k = -(a * b.inverse())
-        if is_unit_imaginary(k):
-            return ("isolated", s.representative(k))
+    if nb > bound:
+        n2 = bw * bw + bx * bx + by * by + bz * bz
+        if n2 == 0.0:
+            raise ValueError("zero quaternion has no inverse")
+        iw, ix, iy, iz = bw / n2, -bx / n2, -by / n2, -bz / n2
+        kw = -(aw * iw - ax * ix - ay * iy - az * iz)
+        kx = -(aw * ix + ax * iw + ay * iz - az * iy)
+        ky = -(aw * iy - ax * iz + ay * iw + az * ix)
+        kz = -(aw * iz + ax * iy - ay * ix + az * iw)
+        if (abs(kw) <= TAU_UNIT
+                and abs(_norm4(kw, kx, ky, kz) - 1.0) <= TAU_UNIT):
+            return ("isolated", Quaternion(x, kx * y, ky * y, kz * y))
     return ("not_a_zero", None)
+
+
+def _point_residual(p: QPoly, q: Quaternion) -> float:
+    """|P(q)| / eval_scale(|q|), P(q) from the floats of _value."""
+    return (_norm4(*_value(p.parts, q.w, q.x, q.y, q.z))
+            / p.eval_scale(q.norm()))
 
 
 def zero_set(p: QPoly, tau_zero: float = TAU_ZERO) -> ZeroSet:
@@ -474,47 +543,54 @@ def zero_set(p: QPoly, tau_zero: float = TAU_ZERO) -> ZeroSet:
 
     Route: roots of the symmetrization P^s on C(i); real roots are real
     zeros (half the P^s multiplicity), conjugate pairs are candidate
-    spheres classified by classify_sphere. Real-coefficient input skips
-    the symmetrization: its own real roots and conjugate pairs already
-    are the real zeros and the (always spherical) zero spheres.
+    spheres classified as classify_sphere does. Only the closed upper
+    half-plane of the roots is read (_root_clusters). Real-coefficient
+    input skips the symmetrization: its own real roots and conjugate
+    pairs already are the real zeros and the (always spherical) zero
+    spheres.
+
+    Every decision on a sphere [x + Iy] runs on the eight floats of
+    (A, B), P(x + Iy) = A + I B for every unit imaginary I, by the
+    representation formula (Gentili and Struppa, Adv. Math. 216, 2007);
+    a Quaternion is built only for a zero the result reports. The
+    residual of an isolated zero is taken at the reported point, which
+    lies on the sphere [x + I y |K|], not [x + I y], so it takes a
+    second Horner pass (_point_residual).
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("zero_set needs a polynomial of degree >= 1")
     if p.is_real():
         return _zero_set_real(p, tau_zero)
 
-    clusters = complex_roots(p.symmetrize().real_coeffs())
+    clusters, _ = _root_clusters(_symmetrized(p.parts))
 
     isolated: list[IsolatedZero] = []
     spheres: list[SphereZero] = []
-    for cl in clusters:
-        if cl.center.imag < 0:
-            continue
-        if cl.center.imag == 0:
-            x, mu = cl.center.real, cl.multiplicity
-            if mu % 2:
+    for z, t, _ in clusters:
+        x, y = z.real, z.imag
+        if y == 0:
+            if t % 2:
                 raise NumericalBreakdown(
                     "odd multiplicity at a real root of the symmetrization",
-                    x=x, multiplicity=mu)
-            res = _sphere_residual(p, TwoSphere(x, 0.0))
+                    x=x, multiplicity=t)
+            res = _sphere_residual(p, x, 0.0)
             if res > tau_zero:
                 raise NumericalBreakdown(
                     "real root of the symmetrization is not a zero",
                     x=x, residual=res)
-            isolated.append(IsolatedZero(Quaternion(x), mu // 2, res))
+            isolated.append(IsolatedZero(Quaternion(x), t // 2, res))
             continue
-        s = TwoSphere(cl.center.real, cl.center.imag)
-        t = cl.multiplicity
-        ab = sphere_values(p, s.x, s.y)
-        kind, pt = _classify(p, s, ab, tau_zero)
+        v = _sphere_parts(p.parts, x, y)
+        kind, pt = _classify(p, x, y, v, tau_zero)
         if kind == "spherical":
             if t % 2:
                 raise NumericalBreakdown(
                     "odd multiplicity at a spherical zero",
-                    sphere=(s.x, s.y), multiplicity=t)
-            spheres.append(SphereZero(s, t // 2, _sphere_residual(p, s, ab)))
+                    sphere=(x, y), multiplicity=t)
+            spheres.append(SphereZero(TwoSphere(x, y), t // 2,
+                                      _sphere_residual(p, x, y, v)))
         elif kind == "isolated":
-            res = p.evaluate(pt).norm() / p.eval_scale(pt.norm())
+            res = _point_residual(p, pt)
             if res > tau_zero:
                 raise NumericalBreakdown(
                     "classified isolated zero fails its residual bound",
@@ -523,7 +599,7 @@ def zero_set(p: QPoly, tau_zero: float = TAU_ZERO) -> ZeroSet:
         else:
             raise NumericalBreakdown(
                 "sphere of the symmetrization carries no zero of p",
-                sphere=(s.x, s.y), multiplicity=t)
+                sphere=(x, y), multiplicity=t)
     return _assemble(p, isolated, spheres)
 
 
@@ -532,20 +608,18 @@ def _zero_set_real(p: QPoly, tau_zero: float) -> ZeroSet:
     real p the cluster residuals are its sphere residuals, up to an ulp
     (abs of a complex rounds unlike sqrt(u^2 + v^2)); imaginary parts
     within the is_real tolerance need _sphere_residual."""
-    clusters = complex_roots(p.real_coeffs())
+    clusters, _ = _root_clusters(p.real_coeffs())
     exact = not any(map(any, p.parts[1:]))
     isolated: list[IsolatedZero] = []
     spheres: list[SphereZero] = []
-    for cl in clusters:
-        if cl.center.imag < 0:
-            continue
-        s = TwoSphere(cl.center.real, cl.center.imag)
-        res = cl.residual if exact else _sphere_residual(p, s)
-        if s.y == 0:
-            isolated.append(IsolatedZero(Quaternion(s.x), cl.multiplicity,
-                                         res))
+    for z, m, res in clusters:
+        x, y = z.real, z.imag
+        if not exact:
+            res = _sphere_residual(p, x, y)
+        if y == 0:
+            isolated.append(IsolatedZero(Quaternion(x), m, res))
         else:
-            spheres.append(SphereZero(s, cl.multiplicity, res))
+            spheres.append(SphereZero(TwoSphere(x, y), m, res))
     return _assemble(p, isolated, spheres)
 
 

@@ -44,11 +44,12 @@ def test_analyze_json_output(capsys):
     assert doc["degree"] == 2
     assert doc["zeros"]["isolated"][0]["mult"] == 2
     q = doc["zeros"]["isolated"][0]["q"]
-    assert q == pytest.approx([0.0, -1.0, 0.0, -1.0], abs=1e-9)
+    assert q == pytest.approx([0.0, -1.0, 0.0, -1.0], abs=1e-9, rel=0)
     assert doc["critical"]["isolated"][0]["q"] == \
-        pytest.approx([0.0, -1.0, 0.0, 0.0], abs=1e-9)
+        pytest.approx([0.0, -1.0, 0.0, 0.0], abs=1e-9, rel=0)
     assert doc["verification"]["verdict"] == "verified"
-    assert doc["bound"]["bound"] == pytest.approx(0.8164965809, abs=1e-6)
+    assert doc["bound"]["bound"] == pytest.approx(0.8164965809, abs=1e-6,
+                                                  rel=0)
 
 
 def test_analyze_handles_degree_one(capsys):
@@ -141,8 +142,9 @@ def test_factor_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["slice"] == [1.0, 0.0, 0.0]
-    assert doc["q_coeffs"] == pytest.approx([1, 0, 1, 0, 0.25], abs=1e-12)
-    assert doc["m_coeffs"][2] == pytest.approx([0.5, 0.0], abs=1e-9)
+    assert doc["q_coeffs"] == pytest.approx([1, 0, 1, 0, 0.25], abs=1e-12,
+                                            rel=0)
+    assert doc["m_coeffs"][2] == pytest.approx([0.5, 0.0], abs=1e-9, rel=0)
     assert doc["residual"] <= 1e-10
     assert doc["l_identity_sampled"] is False
 
@@ -161,7 +163,7 @@ def test_factor_custom_slice_direction(capsys):
                        "--slice", "[0.6, 0.8, 0]", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["slice"] == pytest.approx([0.6, 0.8, 0.0], abs=1e-12)
+    assert doc["slice"] == pytest.approx([0.6, 0.8, 0.0], abs=1e-12, rel=0)
 
 
 @pytest.mark.parametrize("direction, want", [
@@ -172,7 +174,7 @@ def test_factor_slice_direction_of_any_finite_size(capsys, direction, want):
     code, out, _ = run(capsys, "factor", "--coeffs", QUADRATIC,
                        "--slice", direction, "--format", "json")
     assert code == 0
-    assert json.loads(out)["slice"] == pytest.approx(want, abs=1e-15)
+    assert json.loads(out)["slice"] == pytest.approx(want, abs=1e-15, rel=0)
 
 
 @pytest.mark.parametrize("direction", [
@@ -203,8 +205,8 @@ def test_bound_outputs(capsys):
                        "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["bound"] == pytest.approx(3.0, abs=1e-12)
-    assert doc["observed_max_modulus"] == pytest.approx(5.0, abs=1e-9)
+    assert doc["bound"] == pytest.approx(3.0, abs=1e-12, rel=0)
+    assert doc["observed_max_modulus"] == pytest.approx(5.0, abs=1e-9, rel=0)
 
     code, out, _ = run(capsys, "bound", "--coeffs", QUADRATIC)
     assert code == 0
@@ -275,4 +277,5 @@ def test_module_entry_point_runs():
          "[[-3,-4,0,0],[1,0,0,0]]", "--format", "json"],
         capture_output=True, text=True)
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["bound"] == pytest.approx(3.0, abs=1e-12)
+    assert json.loads(proc.stdout)["bound"] == pytest.approx(3.0, abs=1e-12,
+                                                             rel=0)

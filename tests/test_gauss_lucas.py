@@ -142,9 +142,9 @@ def test_slice_equivalence_sees_the_violation_on_its_own_slice():
 def test_modulus_bound_linear_oracle():
     p = QPoly([Quaternion(-3.0, -4.0), Quaternion(1.0)])
     det = modulus_lower_bound_details(p, zero_set(p))
-    assert det["bound"] == pytest.approx(3.0, abs=1e-12)
+    assert det["bound"] == pytest.approx(3.0, abs=1e-12, rel=0)
     assert det["sym_degree"] == 2
-    assert det["observed_max_modulus"] == pytest.approx(5.0, abs=1e-9)
+    assert det["observed_max_modulus"] == pytest.approx(5.0, abs=1e-9, rel=0)
     assert det["bound"] <= det["observed_max_modulus"] + 1e-8
 
     rng = random.Random(11)
@@ -153,7 +153,8 @@ def test_modulus_bound_linear_oracle():
         if a.norm() < 1e-3:
             continue
         p = QPoly([-a, Quaternion(1)])
-        assert modulus_lower_bound(p) == pytest.approx(abs(a.w), abs=1e-12)
+        assert modulus_lower_bound(p) == pytest.approx(abs(a.w), abs=1e-12,
+                                                       rel=0)
 
 
 def test_modulus_bound_never_exceeds_largest_zero():
@@ -182,7 +183,7 @@ def test_modulus_bound_quadratic_sphere():
     # q^2 + 1: symmetrization (q^2+1)^2, bound from the middle terms
     p = QPoly([1.0, 0.0, 1.0])
     det = modulus_lower_bound_details(p, zero_set(p))
-    assert det["observed_max_modulus"] == pytest.approx(1.0, abs=1e-9)
+    assert det["observed_max_modulus"] == pytest.approx(1.0, abs=1e-9, rel=0)
     assert det["bound"] <= 1.0 + 1e-12
 
 
@@ -316,3 +317,27 @@ def test_each_critical_sphere_is_checked_once_for_all_its_points():
                             q, rep.eps_hull * (1.0 + q.norm()))
                 spheres += 1
     assert spheres >= 40
+
+
+def test_factored_verification_builds_no_polynomial_values(monkeypatch):
+    # the sphere decisions run on floats: no QPoly.evaluate, and the one
+    # P^s built as a QPoly is the hull polynomial of verify_gauss_lucas
+    calls = {"evaluate": 0, "symmetrize": 0}
+    for name in calls:
+        original = getattr(QPoly, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(QPoly, name, counted)
+    rng = random.Random(1305)
+    checks = 0
+    for _ in range(50):
+        p = random_factored_poly(rng)
+        before = dict(calls)
+        rep = verify_gauss_lucas(p)
+        assert calls["evaluate"] == before["evaluate"] == 0
+        assert calls["symmetrize"] == before["symmetrize"] + 1
+        checks += len(rep.checks)
+    assert checks >= 50

@@ -85,7 +85,7 @@ def test_planar_triangle_interior_and_exterior():
 
     out = _planar(pts)(2 - 1j, 1e-9)
     assert isinstance(out, Outside)
-    assert out.distance == pytest.approx(1.0, abs=1e-9)
+    assert out.distance == pytest.approx(1.0, abs=1e-9, rel=0)
 
 
 def test_planar_vertices_and_edges_are_members():
@@ -100,19 +100,19 @@ def test_planar_collinear_points_form_a_segment():
     planar_weights(_planar(pts)(0.3253 + 0j, 1e-9), pts, 0.3253 + 0j)
     out = _planar(pts)(0.7 + 0j, 1e-9)
     assert isinstance(out, Outside)
-    assert out.distance == pytest.approx(0.7 - 0.6157, abs=1e-9)
+    assert out.distance == pytest.approx(0.7 - 0.6157, abs=1e-9, rel=0)
 
     # vertical segment, query off-axis
     pts = [1 + 1j, 1 + 4j, 1 + 2.5j]
     planar_weights(_planar(pts)(1 + 3j, 1e-9), pts, 1 + 3j)
     out = _planar(pts)(1.5 + 3j, 1e-9)
-    assert out.distance == pytest.approx(0.5, abs=1e-9)
+    assert out.distance == pytest.approx(0.5, abs=1e-9, rel=0)
 
 
 def test_planar_single_point_hull():
     planar_weights(_planar([2 + 1j])(2 + 1j, 1e-9), [2 + 1j], 2 + 1j)
     out = _planar([2 + 1j])(2 + 2j, 1e-9)
-    assert out.distance == pytest.approx(1.0, abs=1e-12)
+    assert out.distance == pytest.approx(1.0, abs=1e-12, rel=0)
 
 
 def test_planar_eps_collar():
@@ -213,14 +213,14 @@ def test_4d_singleton_and_pair():
     assert_sound(hull_membership_4d(p, [p], 1e-9), p, 1e-9)
     out = hull_membership_4d(Quaternion(), [p], 1e-9)
     assert isinstance(out, Outside)
-    assert out.distance == pytest.approx(p.norm(), abs=1e-9)
+    assert out.distance == pytest.approx(p.norm(), abs=1e-9, rel=0)
 
     a, b = Quaternion(0, 1, 0, 0), Quaternion(0, -1, 0, 0)
     mid = Quaternion(0, 0.2, 0, 0)
     assert_sound(hull_membership_4d(mid, [a, b], 1e-9), mid, 1e-9)
     off = Quaternion(0.3, 0.2, 0, 0)
     out = hull_membership_4d(off, [a, b], 1e-9)
-    assert out.distance == pytest.approx(0.3, abs=1e-9)
+    assert out.distance == pytest.approx(0.3, abs=1e-9, rel=0)
 
 
 def test_4d_random_interior_points_certify():
@@ -366,7 +366,7 @@ def test_exact_hull_is_invariant_under_rotation(rot, points, spheres, query):
         return
     assert type(a) is type(b)
     if isinstance(a, Outside):
-        assert b.distance == pytest.approx(a.distance, abs=1e-9)
+        assert b.distance == pytest.approx(a.distance, abs=1e-9, rel=0)
 
 
 def test_slice_route_takes_tiny_imaginary_parts():
@@ -376,7 +376,7 @@ def test_slice_route_takes_tiny_imaginary_parts():
         cert = hull_membership_slice(q, zs, 1e-8)
         assert_sound(cert, q, 1e-8 * (1.0 + q.norm()))
         out = hull_membership_slice(Quaternion(3.0, 0.0, t, t), zs, 1e-8)
-        assert out.distance == pytest.approx(1.0, abs=1e-12)
+        assert out.distance == pytest.approx(1.0, abs=1e-12, rel=0)
 
 
 def test_dependent_difference_gets_weight_zero():
@@ -403,7 +403,7 @@ def test_4d_duplicate_vertices_change_nothing():
                 assert type(got) is type(want)
                 if isinstance(want, Outside):
                     assert got.distance == pytest.approx(want.distance,
-                                                         abs=1e-9)
+                                                         abs=1e-9, rel=0)
                 else:
                     assert_sound(got, q, 1e-8 * (1.0 + q.norm()))
 
@@ -774,7 +774,7 @@ def test_slice_membership_on_real_zero_sets():
     assert_sound(res, Quaternion(0.25), 1e-9 * (1 + 0.25))
     out = hull_membership_slice(Quaternion(1.5), zs, 1e-9)
     assert isinstance(out, Outside)
-    assert out.distance == pytest.approx(0.5, abs=1e-9)
+    assert out.distance == pytest.approx(0.5, abs=1e-9, rel=0)
 
 
 def test_slice_membership_with_spheres():
@@ -786,11 +786,11 @@ def test_slice_membership_with_spheres():
     rot = Quaternion(0, 0, 0.3, 0.3)
     assert isinstance(hull_membership_slice(rot, zs, 1e-9), HullCertificate)
     out = hull_membership_slice(Quaternion(0, 1.2, 0, 0), zs, 1e-9)
-    assert out.distance == pytest.approx(0.2, abs=1e-6)
+    assert out.distance == pytest.approx(0.2, abs=1e-6, rel=0)
     # nonzero real part leaves the imaginary ball
     off = hull_membership_slice(Quaternion(0.3, 0.4, 0, 0), zs, 1e-9)
     assert isinstance(off, Outside)
-    assert off.distance == pytest.approx(0.3, abs=1e-9)
+    assert off.distance == pytest.approx(0.3, abs=1e-9, rel=0)
 
 
 def test_slice_membership_empty_zero_set_raises():
@@ -806,7 +806,7 @@ def test_slice_membership_nonreal_points_use_the_full_space():
     v = -I
     out = hull_membership_slice(v, zs, 1e-9)
     assert isinstance(out, Outside)
-    assert out.distance == pytest.approx(1.0, abs=1e-9)
+    assert out.distance == pytest.approx(1.0, abs=1e-9, rel=0)
     member = zs.isolated[0].point
     assert_sound(hull_membership_slice(member, zs, 1e-9), member, 1e-8)
 
@@ -845,4 +845,4 @@ def test_certificate_json_shapes():
     assert d["slack"] <= 1e-9
     out = hull_membership_slice(Quaternion(2.0), zs, 1e-9)
     od = out.to_json_dict()
-    assert od["distance"] == pytest.approx(1.0, abs=1e-9)
+    assert od["distance"] == pytest.approx(1.0, abs=1e-9, rel=0)

@@ -294,6 +294,43 @@ def test_is_real_takes_exact_zeros_without_norms(monkeypatch):
     assert QPoly([Quaternion(1.0, -0.0, 0.0, -0.0), Quaternion(2.0)]).is_real()
 
 
+def test_is_real_stops_at_the_first_norm_above_the_bound(monkeypatch):
+    # the booleans of max_imag_norm() <= TAU_REAL (1 + max_coeff_norm()),
+    # with imaginary norms right at the bound and one ulp above it
+    rng = random.Random(1306)
+    polys = []
+    for _ in range(500):
+        at_bound = rng.random() < 0.5
+        sizes = [0.0, 1e-14] if at_bound else [0.0, 1e-14, 1e-12, 1.0]
+        coeffs = [rand_q(rng) for _ in range(rng.randint(1, 7))]
+        coeffs = [Quaternion(c.w, *(rng.choice(sizes) * v
+                                    for v in (c.x, c.y, c.z)))
+                  for c in coeffs]
+        if at_bound:
+            # the largest norm is a real coefficient m, above every norm
+            # of rand_q, and one vector part has norm t: the bound, or
+            # the float on either side of it
+            m = rng.uniform(5.0, 8.0)
+            t = TAU_REAL * (1.0 + m)
+            t = rng.choice([t, math.nextafter(t, math.inf),
+                            math.nextafter(t, 0.0)])
+            coeffs.insert(rng.randrange(len(coeffs) + 1),
+                          Quaternion(rng.uniform(-1, 1),
+                                     *rng.choice([(t, 0, 0), (0, -t, 0),
+                                                  (0, 0, t)])))
+            coeffs.insert(rng.randrange(len(coeffs) + 1), Quaternion(m))
+        polys.append(QPoly(coeffs))
+    want = [p.max_imag_norm() <= TAU_REAL * (1.0 + p.max_coeff_norm())
+            for p in polys]
+    assert 100 <= sum(want) <= 400
+
+    def refuse(self):
+        raise AssertionError("is_real took every imaginary norm")
+
+    monkeypatch.setattr(QPoly, "max_imag_norm", refuse)
+    assert [p.is_real() for p in polys] == want
+
+
 def test_json_roundtrip():
     p = QPoly([J, I, Quaternion(0.5, 1, 2, 3)])
     blob = json.dumps(p.to_json_dict())
@@ -322,6 +359,21 @@ def test_symmetrize_is_the_real_part_of_the_star_product(coeffs, r):
     ps = p.symmetrize()
     assert repr(ps.real_coeffs()) == repr(full.real_coeffs())
     assert all(repr(v) == "0.0" for part in ps.parts[1:] for v in part)
+
+
+def test_symmetrize_norms_are_the_magnitudes():
+    # sqrt(c * c) == |c| in binary floating point, and math.hypot gives
+    # |c| beyond the range of the square, so the norms of the real P^s
+    # are the magnitudes of its coefficients
+    rng = random.Random(1307)
+    for _ in range(2000):
+        c = rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-1074, 1023)
+        assert QPoly([c]).norms in ((abs(c),), ())
+    for size in (1e-170, 1e-100, 1.0, 1e100, 1e150):
+        for _ in range(20):
+            p = QPoly([size * rand_q(rng) for _ in range(rng.randint(1, 6))])
+            ps = p.symmetrize()
+            assert repr(ps.norms) == repr(QPoly(ps.real_coeffs()).norms)
 
 
 def test_kernels_perform_no_hamilton_product(monkeypatch):

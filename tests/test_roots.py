@@ -394,7 +394,7 @@ def test_sphere_residual_is_the_maximum_over_the_sphere():
     for _ in range(40):
         p = random_factored(rng, rng.randint(1, 5))
         s = TwoSphere(rng.uniform(-2, 2), rng.uniform(0.1, 2))
-        worst = roots_mod._sphere_residual(p, s)
+        worst = roots_mod._sphere_residual(p, s.x, s.y)
         scale = p.eval_scale(math.hypot(s.x, s.y))
         # the residual is attained at I = -Im(B A^c) / |Im(B A^c)|
         a, b = sphere_values(p, s.x, s.y)
@@ -465,13 +465,13 @@ def test_zero_set_real_polynomial_routes():
     zs = zero_set(QPoly([-1.0, 0.0, 1.0]))
     pts = sorted(z.point.w for z in zs.isolated)
     assert len(zs.spheres) == 0
-    assert pts == pytest.approx([-1.0, 1.0], abs=1e-12)
+    assert pts == pytest.approx([-1.0, 1.0], abs=1e-12, rel=0)
 
     zs = zero_set(QPoly([2.0, 2.0, 1.0]))
     assert not zs.isolated
     assert len(zs.spheres) == 1
     s = zs.spheres[0].sphere
-    assert (s.x, s.y) == pytest.approx((-1.0, 1.0), abs=1e-12)
+    assert (s.x, s.y) == pytest.approx((-1.0, 1.0), abs=1e-12, rel=0)
     assert zs.spheres[0].multiplicity == 1
 
 
@@ -617,7 +617,7 @@ def test_real_zero_set_residuals_are_sphere_residuals(p):
     pairs = [(z.residual, TwoSphere(z.point.w, 0.0)) for z in zs.isolated]
     pairs += [(s.residual, s.sphere) for s in zs.spheres]
     for res, s in pairs:
-        want = roots_mod._sphere_residual(p, s)
+        want = roots_mod._sphere_residual(p, s.x, s.y)
         assert abs(res - want) <= max(1e-14 * max(res, want), 1e-30)
 
 
@@ -631,18 +631,20 @@ def test_nearly_real_zero_set_residuals_see_the_imaginary_parts():
     pairs += [(s.residual, s.sphere) for s in zs.spheres]
     assert len(pairs) == 2
     for res, s in pairs:
-        assert res == roots_mod._sphere_residual(p, s)
+        assert res == roots_mod._sphere_residual(p, s.x, s.y)
 
 
 def test_zero_set_evaluates_each_candidate_sphere_once(monkeypatch):
+    # the float evaluation of (A, B) at each candidate (x, y); the point
+    # residual of an isolated zero is taken elsewhere, at its own sphere
     calls = []
-    values = roots_mod.sphere_values
+    parts = roots_mod._sphere_parts
 
-    def counted(p, x, y):
+    def counted(p_parts, x, y):
         calls.append((x, y))
-        return values(p, x, y)
+        return parts(p_parts, x, y)
 
-    monkeypatch.setattr(roots_mod, "sphere_values", counted)
+    monkeypatch.setattr(roots_mod, "_sphere_parts", counted)
     ring = characteristic_poly(TwoSphere(1.0, 2.0))
     ring2 = characteristic_poly(TwoSphere(-0.5, 0.75))
     lin = QPoly([-(I + 0.5 * J + 0.3), Quaternion(1)])
@@ -832,6 +834,198 @@ def test_complex_roots_match_the_golden_pin():
     assert len(cases) > 500
     for n, case in enumerate(cases):
         assert _golden_outcome(_decode(case["coeffs"])) == case["roots"], n
+
+
+# ---------------------------------------------------------------------------
+# the float sphere kernels against the Quaternion arithmetic they replace
+
+
+def classify_by_quaternions(p, s, tau_zero=1e-8):
+    """_classify as written on Quaternion values: (a, b) from
+    sphere_values, K = -(a * b.inverse()) and s.representative(K)."""
+    a, b = sphere_values(p, s.x, s.y)
+    scale = p.eval_scale(math.hypot(s.x, s.y))
+    if a.norm() <= tau_zero * scale and b.norm() <= tau_zero * scale:
+        return ("spherical", None)
+    if b.norm() > tau_zero * scale:
+        k = -(a * b.inverse())
+        if is_unit_imaginary(k):
+            return ("isolated", s.representative(k))
+    return ("not_a_zero", None)
+
+
+def evaluate_by_quaternions(p, q):
+    """P(q) = A + I B with (A, B) = sphere_values(p, Re q, |Im q|)."""
+    y = q.im_norm()
+    a, b = sphere_values(p, q.w, y)
+    if y == 0.0:
+        return a
+    return a + Quaternion(0.0, q.x / y, q.y / y, q.z / y) * b
+
+
+def float_classification_cases():
+    """(p, sphere) pairs: the candidate spheres of seeded factored
+    polynomials, their derivatives and products (spherical, isolated),
+    shifted spheres (not_a_zero), K of modulus 1 +- TAU_UNIT on linear
+    factors, and polynomials scaled to parts near 1e-150, 1e-170 and
+    1e200, where norms take the hypot branch."""
+    rng = random.Random(1301)
+    cases = []
+    for _ in range(30):
+        p = random_factored(rng, rng.randint(2, 5))
+        for poly in (p, p.derivative(), p * p.conjugate() * p):
+            for cl in complex_roots(poly.symmetrize().real_coeffs()):
+                if cl.center.imag > 0:
+                    s = TwoSphere(cl.center.real, cl.center.imag)
+                    cases.append((poly, s))
+                    cases.append((poly, TwoSphere(s.x + 0.5, s.y)))
+    for _ in range(60):
+        # P(q) = (q - alpha) c: K = (alpha - x) / y = t u
+        x, y = rng.uniform(-3, 3), rng.uniform(0.1, 3)
+        u = random_unit_imaginary(rng)
+        t = 1.0 + rng.choice([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]) * 1e-10
+        alpha = Quaternion(x) + (t * y) * u
+        c = Quaternion(*(rng.uniform(-2, 2) for _ in range(4)))
+        for size in (1.0, 1e-150, 1e-170, 1e200):
+            lin = QPoly([-alpha * (size * c), size * c])
+            cases.append((lin, TwoSphere(x, y)))
+    for size in (1e-150, 1e-170, 1e200):
+        for _ in range(10):
+            p = random_factored(rng, rng.randint(2, 4))
+            scaled = QPoly([size * a for a in p.coeffs])
+            for cl in complex_roots(p.symmetrize().real_coeffs()):
+                if cl.center.imag > 0:
+                    cases.append((scaled, TwoSphere(cl.center.real,
+                                                    cl.center.imag)))
+    return cases
+
+
+def outcome(fn, *args):
+    """repr of the result, or of the exception raised."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, ZeroDivisionError) as ex:
+        return f"raises {type(ex).__name__}: {ex}"
+
+
+def test_float_classification_is_the_quaternion_one_bit_for_bit():
+    kinds = Counter()
+    for p, s in float_classification_cases():
+        want = outcome(classify_by_quaternions, p, s)
+        parts = roots_mod._sphere_parts(p.parts, s.x, s.y)
+        assert outcome(roots_mod._classify, p, s.x, s.y, parts, 1e-8) == want
+        assert outcome(classify_sphere, p, s) == want
+        kinds[want.split(",")[0]] += 1
+        if want.startswith("('isolated'"):
+            pt = classify_by_quaternions(p, s)[1]
+            res = (evaluate_by_quaternions(p, pt).norm()
+                   / p.eval_scale(pt.norm()))
+            assert repr(roots_mod._point_residual(p, pt)) == repr(res)
+            assert repr(p.evaluate(pt)) == repr(evaluate_by_quaternions(p, pt))
+        # the residual of a sphere, from the same eight floats
+        a, b = sphere_values(p, s.x, s.y)
+        cross = (b * a.conjugate()).im_norm()
+        top = math.sqrt(a.norm2() + b.norm2() + 2.0 * cross)
+        want_res = top / p.eval_scale(math.hypot(s.x, s.y))
+        assert repr(roots_mod._sphere_residual(p, s.x, s.y)) == repr(want_res)
+    # b.inverse() underflows at parts near 1e-170 and overflows near 1e200
+    assert kinds.keys() == {"('spherical'", "('isolated'", "('not_a_zero'",
+                            "raises ValueError: zero quaternion has no "
+                            "inverse"}
+    assert min(kinds.values()) >= 10
+
+
+def test_float_classification_sees_both_sides_of_the_unit_test():
+    # |K| = 1 +- 1.5 TAU_UNIT falls outside, 1 +- 0.5 TAU_UNIT inside,
+    # also where the norms of A and B take the hypot branch
+    rng = random.Random(1302)
+    for size in (1.0, 1e-150):
+        for t, kind in ((1.0 - 1.5e-10, "not_a_zero"),
+                        (1.0 - 0.5e-10, "isolated"),
+                        (1.0 + 0.5e-10, "isolated"),
+                        (1.0 + 1.5e-10, "not_a_zero")):
+            x, y = rng.uniform(-3, 3), rng.uniform(0.1, 3)
+            alpha = Quaternion(x) + (t * y) * random_unit_imaginary(rng)
+            c = Quaternion(*(rng.uniform(-2, 2) for _ in range(4)))
+            lin = QPoly([-alpha * (size * c), size * c])
+            assert classify_sphere(lin, TwoSphere(x, y))[0] == kind
+
+
+def seeded_real_inputs():
+    """Real coefficient lists: random ones, products with repeated and
+    nearby roots, and real roots of every multiplicity up to 3."""
+    rng = random.Random(1303)
+    out = []
+    for _ in range(80):
+        out.append([rng.uniform(-3, 3) for _ in range(rng.randint(2, 10))])
+    for _ in range(80):
+        roots = []
+        for _ in range(rng.randint(1, 4)):
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            roots += [z, z.conjugate()] * rng.randint(1, 2)
+        for _ in range(rng.randint(0, 3)):
+            roots += [complex(rng.uniform(-2, 2))] * rng.randint(1, 3)
+        if rng.random() < 0.3:
+            roots += [roots[0] + 1e-7, roots[0].conjugate() + 1e-7]
+        out.append(np.real(poly_from_roots(roots)).tolist())
+    return out
+
+
+def test_upper_half_core_is_the_closed_upper_half_of_complex_roots(
+        monkeypatch):
+    lower_named = 0
+    for c in seeded_real_inputs():
+        try:
+            full = complex_roots(c)
+        except NumericalBreakdown:
+            continue
+        upper, real = roots_mod._root_clusters(c)
+        assert real
+        want = [(cl.center, cl.multiplicity, cl.residual) for cl in full
+                if cl.center.imag >= 0]
+        assert repr(upper) == repr(want)
+        assert repr(roots_mod._mirrored(upper)) == repr(
+            [(cl.center, cl.multiplicity, cl.residual) for cl in full])
+        # a residual bound between the residuals: both routes name the
+        # first failing cluster of the full list
+        levels = sorted({cl.residual for cl in full})
+        if len(levels) < 2:
+            continue
+        tau = levels[len(levels) // 2 - 1]
+        first = next(cl for cl in full if cl.residual > tau)
+        lower_named += first.center.imag < 0
+        monkeypatch.setattr(roots_mod, "TAU_ROOT", tau)
+        for route in (complex_roots, roots_mod._root_clusters):
+            with pytest.raises(NumericalBreakdown) as ex:
+                route(c)
+            assert str(ex.value) == "root residual above tolerance"
+            assert repr(ex.value.info) == repr(
+                {"center": first.center, "multiplicity": first.multiplicity,
+                 "residual": first.residual})
+        monkeypatch.undo()
+    assert lower_named >= 5
+
+
+def test_components_match_union_find_on_seeded_items():
+    rng = random.Random(1304)
+    singles = linked = 0
+    for _ in range(400):
+        r = rng.choice([2e-2, 2e-3, 2e-4, 1e-6])
+        pts = [complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+               for _ in range(rng.randint(1, 8))]
+        for _ in range(rng.randint(0, 2)):
+            z = rng.choice(pts)
+            pts.append(z + complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                       * r * (1.0 + abs(z)))
+        items = sorted(([z, i] for i, z in enumerate(pts)),
+                       key=lambda it: (it[0].real, it[0].imag))
+        got = roots_mod._components(items, r)
+        assert got == components_all_pairs(items, r)
+        if len(got) == len(items):
+            singles += 1
+        else:
+            linked += 1
+    assert singles >= 50 and linked >= 50
 
 
 if __name__ == "__main__":
