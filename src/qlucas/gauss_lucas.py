@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .hull import (
     HullCertificate,
@@ -74,14 +74,19 @@ class GLReport:
         }
 
 
-def _verify(p: QPoly, hull_poly: QPoly, eps_hull: float,
+def _verify(p: QPoly, hull_of: Callable[[QPoly], QPoly], eps_hull: float,
             tau_zero: float) -> GLReport:
     """Check every zero of p' against the hull of the zero set of
-    hull_poly, through one slice_route: one planar hull per zero set."""
+    hull_of(p), through one slice_route: one planar hull per zero set.
+
+    The critical zero set is found first, and hull_of(p) is formed and
+    rooted only once it is known: when both zero sets would break down,
+    the breakdown of p' is the one raised, and no work is spent on the
+    hull polynomial of an input that breaks down on p'."""
     if p.is_zero or p.degree < 2:
         raise ValueError("verification needs a polynomial of degree >= 2")
-    zeros = zero_set(hull_poly, tau_zero)
     crit = zero_set(p.derivative(), tau_zero)
+    zeros = zero_set(hull_of(p), tau_zero)
     member = slice_route(zeros, eps_hull)
     queries = [(z.point, "isolated") for z in crit.isolated]
     queries += [(Quaternion(s.sphere.x, s.sphere.y), "sphere")
@@ -114,17 +119,27 @@ def verify_gauss_lucas(p: QPoly, eps_hull: float = EPS_HULL,
     verified=False, with the offending points and their distances, is
     an expected outcome in degree >= 3: random star products of linear
     factors miss the hull in roughly 40% of draws.
+
+    The zero set of p' is found first; p^s is formed and rooted only
+    after it succeeds. When both zero sets would break down, the
+    NumericalBreakdown of p' is the one raised, and so the one whose
+    message a campaign records among its breakdowns.
     """
-    return _verify(p, p.symmetrize(), eps_hull, tau_zero)
+    return _verify(p, QPoly.symmetrize, eps_hull, tau_zero)
 
 
 def verify_real_case(p: QPoly, eps_hull: float = EPS_HULL,
                      tau_zero: float = TAU_ZERO) -> GLReport:
     """Variant for real-coefficient p: the hull is taken over the zero
-    set of p itself, matching the classical statement."""
+    set of p itself, matching the classical statement.
+
+    As in verify_gauss_lucas, the zero set of p' is found first and p is
+    rooted only after it succeeds. When both zero sets would break down,
+    the NumericalBreakdown of p' is the one raised, and so the one whose
+    message a campaign records among its breakdowns."""
     if not p.is_real():
         raise ValueError("verify_real_case needs real coefficients")
-    return _verify(p, p, eps_hull, tau_zero)
+    return _verify(p, lambda q: q, eps_hull, tau_zero)
 
 
 # ---------------------------------------------------------------------------

@@ -341,3 +341,66 @@ def test_factored_verification_builds_no_polynomial_values(monkeypatch):
         assert calls["symmetrize"] == before["symmetrize"] + 1
         checks += len(rep.checks)
     assert checks >= 50
+
+
+def _grid_draws(d, r, n=50):
+    # n draws of one (degree, radius) cell of the breakdown grid; radii
+    # are floats, so the seed strings read "grid:12:5.0:0", not "grid:12:5:0"
+    return [random_factored_poly(random.Random(f"grid:{d}:{r}:{t}"), (d, d), r)
+            for t in range(n)]
+
+
+def test_critical_breakdown_comes_before_the_symmetrization(monkeypatch):
+    # every draw of the (8, 0.01) cell breaks down on its critical zero
+    # set: verify raises that breakdown and never forms P^s
+    calls = 0
+    original = QPoly.symmetrize
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return original(self)
+
+    monkeypatch.setattr(QPoly, "symmetrize", counted)
+    for p in _grid_draws(8, 0.01):
+        with pytest.raises(NumericalBreakdown) as want:
+            zero_set(p.derivative())
+        with pytest.raises(NumericalBreakdown) as got:
+            verify_gauss_lucas(p)
+        assert str(got.value) == str(want.value)
+        assert got.value.info == want.value.info
+    assert calls == 0
+
+
+def test_real_case_roots_p_only_after_its_derivative(monkeypatch):
+    seen = []
+
+    def breaking(p, tau_zero):
+        seen.append(p)
+        raise NumericalBreakdown("critical zero set breaks down")
+
+    monkeypatch.setattr(gauss_lucas, "zero_set", breaking)
+    p = random_real_poly(random.Random(1401))
+    with pytest.raises(NumericalBreakdown, match="critical zero set"):
+        verify_real_case(p)
+    assert seen == [p.derivative()]
+
+
+# breakdowns of verify_gauss_lucas per cell of 50 draws, 182 in all. The
+# bounds may only fall: lower one when a fix removes breakdowns, never
+# raise one.
+GRID_BREAKDOWN_BOUNDS = {(4, 1e3): 50, (8, 0.01): 50, (12, 5.0): 32,
+                         (16, 5.0): 50, (6, 5.0): 0}
+
+
+def test_breakdown_grid_stays_within_its_bounds():
+    counts = {}
+    for (d, r) in GRID_BREAKDOWN_BOUNDS:
+        counts[(d, r)] = 0
+        for p in _grid_draws(d, r):
+            try:
+                verify_gauss_lucas(p)
+            except NumericalBreakdown:
+                counts[(d, r)] += 1
+    for cell, bound in GRID_BREAKDOWN_BOUNDS.items():
+        assert counts[cell] <= bound, (cell, counts[cell])
