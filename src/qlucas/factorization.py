@@ -13,7 +13,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .qpoly import SlicePoly, _cpoly_der, horner, trim_rel
-from .roots import NumericalBreakdown, complex_roots
+from .roots import NumericalBreakdown, _root_clusters
 from .tolerances import TAU_COEFF_REAL, TAU_FACTOR, TAU_L_IDENTITY
 
 
@@ -54,7 +54,9 @@ def fejer_riesz_factor(q_coeffs) -> MFactor:
 
     M collects the positive-imaginary member of every conjugate root
     pair at full multiplicity and half of every (necessarily even) real
-    root multiplicity, scaled by sqrt of the leading coefficient. Odd
+    root multiplicity, scaled by sqrt of the leading coefficient. Those
+    are the roots on the closed upper half-plane, which _root_clusters
+    gives without the mirror images, in complex_roots' order. Odd
     degree, a nonpositive leading coefficient, or an odd real root
     multiplicity all mean Q takes negative values and there is no such
     factorization.
@@ -86,15 +88,15 @@ def fejer_riesz_factor(q_coeffs) -> MFactor:
             "infinity", leading=lc)
 
     roots_m: list[complex] = []
-    for cl in complex_roots(q):
-        if cl.center.imag > 0:
-            roots_m.extend([cl.center] * cl.multiplicity)
-        elif cl.center.imag == 0:
-            if cl.multiplicity % 2:
+    for z, mult, _ in _root_clusters(q)[0]:
+        if z.imag > 0:
+            roots_m.extend([z] * mult)
+        else:
+            if mult % 2:
                 raise NumericalBreakdown(
                     "odd real root multiplicity, polynomial changes sign",
-                    root=cl.center.real, multiplicity=cl.multiplicity)
-            roots_m.extend([cl.center] * (cl.multiplicity // 2))
+                    root=z.real, multiplicity=mult)
+            roots_m.extend([z] * (mult // 2))
     m = [complex(math.sqrt(lc))]
     for r in roots_m:
         m = _mul(m, [-r, 1.0])

@@ -9,6 +9,12 @@ four tuples of floats (the four real component polynomials of P), and
 `norms` the coefficient norms, computed once at construction. The
 kernels run on these floats with no Hamilton product; `coeffs`, the
 public tuple of Quaternion values, is built only when a caller reads it.
+A float, int or complex coefficient is read into its parts without a
+Quaternion (quaternion._parts). When every imaginary part is zero, as
+for a real P and its derivative, the norms are the magnitudes of the
+real parts, which _norm4 would give bit for bit: sqrt(w * w) == |w| in
+binary floating point, and math.hypot(w, 0, 0, 0) == |w| outside the
+range of the square.
 Tuples are built from lists: tuple(iterator) resizes, bloating free lists.
 """
 
@@ -20,7 +26,7 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .quaternion import (Quaternion, TwoSphere, _coerce, _norm3, _norm4,
-                         orthogonal_unit)
+                         _parts, orthogonal_unit)
 from .tolerances import TAU_REAL, TAU_STAR_ZERO, TAU_TRIM_REL
 
 
@@ -38,18 +44,22 @@ class QPoly:
     def __init__(self, coeffs: Sequence = ()):
         qs = []
         for n, c in enumerate(coeffs):
-            q = _coerce(c)
+            q = _parts(c)
             if q is None:
                 raise TypeError(f"coefficient {c!r} is not a quaternion or real")
-            if not all(map(math.isfinite, (q.w, q.x, q.y, q.z))):
+            if not all(map(math.isfinite, q)):
                 raise ValueError(f"coefficient {n} is not finite: {c!r}")
-            qs.append((q.w, q.x, q.y, q.z))
+            qs.append(q)
         self._store(*(zip(*qs) if qs else ((), (), (), ())))
 
     def _store(self, w, x, y, z, norms=None) -> "QPoly":
-        """Trim by the norms unless given (they are then already trimmed)."""
+        """Trim by the norms unless given (they are then already trimmed).
+        With every imaginary part zero, the norms are the magnitudes of
+        the real parts, which _norm4 gives bit for bit."""
         if norms is None:
-            norms = tuple(trim_rel(list(map(_norm4, w, x, y, z))))
+            norms = (list(map(abs, w)) if not (any(x) or any(y) or any(z))
+                     else list(map(_norm4, w, x, y, z)))
+            norms = tuple(norms[:_kept(norms)])
         self.parts = tuple([tuple(c)[:len(norms)] for c in (w, x, y, z)])
         self.norms = norms
         self._coeffs = None
@@ -170,11 +180,16 @@ def _qpoly(w, x, y, z, norms=None) -> QPoly:
 def trim_rel(coeffs):
     """coeffs without the trailing entries of magnitude at most
     TAU_TRIM_REL times the largest, so all of them when that is 0."""
-    tau = TAU_TRIM_REL * max(map(abs, coeffs), default=0.0)
-    keep = len(coeffs)
-    while keep and abs(coeffs[keep - 1]) <= tau:
+    return coeffs[:_kept(list(map(abs, coeffs)))]
+
+
+def _kept(mags) -> int:
+    """How many entries trim_rel keeps, from their magnitudes."""
+    tau = TAU_TRIM_REL * max(mags, default=0.0)
+    keep = len(mags)
+    while keep and mags[keep - 1] <= tau:
         keep -= 1
-    return coeffs[:keep]
+    return keep
 
 
 def _symmetrized(parts) -> list[float]:
@@ -193,8 +208,11 @@ def _symmetrized(parts) -> list[float]:
 
 
 def horner(coeffs: Sequence[complex], z: complex) -> complex:
-    """Value at z of the polynomial with ascending coefficients."""
-    acc = 0j
+    """Value at z of the polynomial with ascending coefficients. At a
+    float z the accumulator starts as 0.0, not 0j: float coefficients
+    then give a float, the real part of the value at complex(z, 0.0)
+    bit for bit, and complex ones the same complex value."""
+    acc = 0.0 if type(z) is float else 0j
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc

@@ -119,10 +119,7 @@ class Quaternion:
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def inverse(self) -> "Quaternion":
-        n2 = self.norm2()
-        if n2 == 0.0:
-            raise ValueError("zero quaternion has no inverse")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return Quaternion(*_inverse_parts(self.w, self.x, self.y, self.z))
 
     def isclose(self, other, tol=TAU_CLOSE) -> bool:
         other = _coerce(other)
@@ -148,15 +145,47 @@ def _norm3(x: float, y: float, z: float) -> float:
     return math.hypot(x, y, z)
 
 
+def _inverse_parts(w: float, x: float, y: float,
+                   z: float) -> tuple[float, float, float, float]:
+    """The parts of Quaternion(w, x, y, z).inverse(), the conjugate over
+    the squared norm. Where that square leaves the range in which it is
+    correct to rounding (NORM_SQ_MIN to inf), the parts are first divided
+    by 2^e, e the exponent of the largest, which is exact and brings the
+    square to at least 1/4, and the quotients are then divided by 2^e
+    again, exact unless they fall below the normal range. Only the zero
+    quaternion raises ValueError."""
+    n2 = w * w + x * x + y * y + z * z
+    if NORM_SQ_MIN <= n2 < math.inf:
+        return w / n2, -x / n2, -y / n2, -z / n2
+    if not (w or x or y or z):
+        raise ValueError("zero quaternion has no inverse")
+    e = math.frexp(max(abs(w), abs(x), abs(y), abs(z)))[1]
+    w, x, y, z = (math.ldexp(w, -e), math.ldexp(x, -e),
+                  math.ldexp(y, -e), math.ldexp(z, -e))
+    n2 = w * w + x * x + y * y + z * z
+    return (math.ldexp(w / n2, -e), math.ldexp(-x / n2, -e),
+            math.ldexp(-y / n2, -e), math.ldexp(-z / n2, -e))
+
+
+def _parts(value):
+    """The four float parts of a Quaternion, a real number or a complex
+    number (on the C(i) slice), or None for any other type. float()
+    raises OverflowError for an integer beyond the float range."""
+    if isinstance(value, Quaternion):
+        return value.w, value.x, value.y, value.z
+    if isinstance(value, (int, float)):
+        return float(value), 0.0, 0.0, 0.0
+    if isinstance(value, complex):
+        return float(value.real), float(value.imag), 0.0, 0.0
+    return None
+
+
 def _coerce(value):
+    """value as a Quaternion, from _parts; None for another type."""
     if isinstance(value, Quaternion):
         return value
-    if isinstance(value, (int, float)):
-        return Quaternion(value)
-    if isinstance(value, complex):
-        # complex numbers live on the C(i) slice
-        return Quaternion(value.real, value.imag)
-    return None
+    parts = _parts(value)
+    return None if parts is None else Quaternion(*parts)
 
 
 ZERO = Quaternion()

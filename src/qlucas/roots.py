@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg._umath_linalg import eigvals as _lapack_eigvals
 
-from .quaternion import Quaternion, TwoSphere, _norm3, _norm4
-from .qpoly import (QPoly, _magnitude_scale, _sphere_parts, _symmetrized,
-                    _value, horner, horner_scale, trim_rel)
+from .quaternion import Quaternion, TwoSphere, _inverse_parts, _norm3, _norm4
+from .qpoly import (QPoly, _kept, _magnitude_scale, _sphere_parts,
+                    _symmetrized, _value, horner, horner_scale)
 from .tolerances import (CLUSTER_RADII, TAU_CLUSTER, TAU_COEFF_REAL,
                          TAU_IM_SNAP, TAU_REACH, TAU_ROOT,
                          TAU_UNIT, TAU_VALIDATE, TAU_ZERO, ULP)
@@ -41,7 +41,11 @@ class RootCluster:
 class _derivs:
     """All derivatives as lists of Python numbers, which Horner's rule
     runs through faster than numpy scalars, then [0j] at every higher
-    order; each is built on first use (simple roots need orders 0, 1)."""
+    order; each is built on first use (simple roots need order 0 only,
+    as newton_pass forms d' itself). A real polynomial comes as a list
+    of floats, and its derivatives up to the degree are float lists
+    too: n * c is the real part of complex(n) * complex(c, 0.0) bit for
+    bit, whose imaginary part is 0.0."""
 
     def __init__(self, coeffs):
         self._built = [coeffs]
@@ -58,13 +62,23 @@ class _derivs:
         return built[order]
 
     def newton_pass(self, order: int):
-        """(pairs, d[0]) for _newton on the order-th derivative d: the
-        pairs (d[k], d'[k - 1]) for k = n, ..., 1, built once per order."""
+        """(start, pairs, d[0]) for _newton on the order-th derivative d,
+        built once per order: the pairs (d[k], d'[k - 1]) for
+        k = n, ..., 1, and the accumulators (f, f') a pass starts from.
+        A float list starts from its leading pair and takes the rest:
+        0 * z + c is c for a float c != 0, and at a complex z it is
+        complex(c, 0.0), the operand that c becomes in complex
+        arithmetic. A complex list starts from (0j, 0j) and takes every
+        pair: there 0j * z + c can differ from c in the sign of a zero
+        part."""
         got = self._passes.get(order)
         if got is None:
             d = self[order]
+            # d'[k - 1] = k * d[k], as __getitem__ builds it
+            pairs = [(d[k], k * d[k]) for k in range(len(d) - 1, 0, -1)]
             got = self._passes[order] = (
-                list(zip(d[:0:-1], self[order + 1][::-1])), d[0])
+                (pairs[0], pairs[1:], d[0]) if type(d[0]) is float and pairs
+                else ((0j, 0j), pairs, d[0]))
         return got
 
 
@@ -78,12 +92,25 @@ def _newton(derivs, order: int, z0: complex) -> complex:
 
     One pass evaluates d and d', one accumulator each, with horner's
     operations in horner's order: the pass takes d[k] with d'[k - 1]
-    for k = n, ..., 1, then d[0]."""
-    pairs, d0 = derivs.newton_pass(order)
+    for k = n, ..., 1, then d[0].
+
+    On a real polynomial (float lists) a start with imaginary part
+    exactly 0 is replaced by its real part, and the iteration runs in
+    float arithmetic and returns a float. The complex iteration would
+    give the same bits as the real parts: CPython's complex arithmetic
+    turns a float operand c into complex(c, 0.0), so every value keeps
+    an imaginary part of zero, which adds or subtracts only zeros to
+    the real parts, and the absolute values are those of the real
+    parts. The coefficients are never -0.0, so the sign of a zero does
+    not carry; an overflow to inf, which the complex products would
+    turn into NaN, is the exception."""
+    start, pairs, d0 = derivs.newton_pass(order)
+    if not z0.imag and type(d0) is float:
+        z0 = z0.real
     z = z0
     last = math.inf
     for _ in range(_NEWTON_STEPS):
-        f = fp = 0j
+        f, fp = start
         for c, cp in pairs:
             f = f * z + c
             fp = fp * z + cp
@@ -110,20 +137,26 @@ def _validated(derivs, z: complex, mu: int) -> bool:
     return True
 
 
+def _reach(z: complex, radius_rel: float) -> float:
+    """How far to the right of z the scan of _components looks for an
+    edge: r (1 + |z|) / (1 - r), widened by TAU_REACH."""
+    return (radius_rel * (1.0 + abs(z)) / (1.0 - radius_rel)
+            * (1.0 + TAU_REACH) if radius_rel < 1.0 else math.inf)
+
+
 def _components(items, radius_rel: float):
     """Single-linkage components; edge when the gap is within the
     relative radius. Deterministic given the input order. The items
     come sorted by real part, and an edge from z_i to a later z_j has
     d = |z_i - z_j| <= r (1 + |z_i| + d), so for r < 1 it needs
     Re z_j - Re z_i <= d <= r (1 + |z_i|) / (1 - r). The scan over j
-    stops at the first larger gap (widened by TAU_REACH):
-    every later gap is larger still, so the edges are the same."""
+    stops at the first gap beyond _reach(z_i): every later gap is
+    larger still, so the edges are the same."""
     n = len(items)
     edges = []
     for i in range(n):
         zi = items[i][0]
-        reach = (radius_rel * (1.0 + abs(zi)) / (1.0 - radius_rel)
-                 * (1.0 + TAU_REACH) if radius_rel < 1.0 else math.inf)
+        reach = _reach(zi, radius_rel)
         for j in range(i + 1, n):
             zj = items[j][0]
             if zj.real - zi.real > reach:
@@ -224,8 +257,24 @@ def _real_clusters(items, derivs):
 
     A singleton component is its own cluster unless it is a non-real
     root linked to its own mirror, so when every component is a
-    singleton and none is so linked, the clusters are the items."""
+    singleton and none is so linked, the clusters are the items. One
+    scan finds the common case first: when every gap between the real
+    parts of neighbours exceeds _reach of the left one, _components
+    stops each of its scans at the first neighbour, which is the same
+    comparison of the same floats, and finds no edge; and a non-real
+    root u links to its mirror when |u - conj u| = 2 Im u is within
+    radius (1 + |u|). Only when the scan fails are the components
+    built."""
     radius = CLUSTER_RADII[0]
+    left = None
+    for z, _ in items:
+        if z.imag and 2.0 * z.imag <= radius * (1.0 + abs(z)):
+            break
+        if left is not None and z.real - left.real <= _reach(left, radius):
+            break
+        left = z
+    else:
+        return items
     comps = _components(items, radius)
     if len(comps) == len(items) and not any(
             it[0].imag and _mirror_linked([it], radius) for it in items):
@@ -274,24 +323,38 @@ def _root_clusters(coeffs) -> tuple[list, bool]:
     _order. For real coefficients upper is True and the clusters cover
     the closed upper half-plane, the real ones and the upper member of
     each conjugate pair, which is all zero_set reads; _mirrored adds the
-    rest."""
-    c = list(coeffs)
-    if not all(map(cmath.isfinite, c)):
+    rest.
+
+    The magnitudes of the coefficients are taken once; the trim, the
+    realness test and the residual scale read them. Real coefficients
+    stay a list of floats, which the derivatives, Newton, validation and
+    the residual run on: a complex operand meets a float c as
+    complex(c, 0.0), so the bits are those of a complex list. A real
+    root polishes in float arithmetic (_newton) and its residual is the
+    float Horner value. Coefficients real only within TAU_COEFF_REAL
+    lose their imaginary parts, and the scale then takes the magnitudes
+    of the real parts."""
+    c = coeffs.tolist() if isinstance(coeffs, np.ndarray) else list(coeffs)
+    mags = list(map(abs, c))
+    # a finite magnitude has finite parts; an infinite one may be the
+    # overflow of a finite complex coefficient
+    if not all(map(math.isfinite, mags)) and not all(map(cmath.isfinite, c)):
         n, a = next((n, a) for n, a in enumerate(c) if not cmath.isfinite(a))
         raise ValueError(f"coefficient {n} is not finite: {a!r}")
-    c = trim_rel(c)
-    if len(c) < 2:
+    deg = _kept(mags) - 1
+    if deg < 1:
         raise ValueError("root finding needs degree >= 1 after trimming")
-    deg = len(c) - 1
-    is_real = (max([abs(a.imag) for a in c])
-               <= TAU_COEFF_REAL * max(map(abs, c)))
+    del c[deg + 1:], mags[deg + 1:]
+    imags = [a.imag for a in c]
+    is_real = not any(imags) or (max(map(abs, imags))
+                                 <= TAU_COEFF_REAL * max(mags))
     if is_real:
-        reals = [a.real + 0.0 for a in c]
-        c = list(map(complex, reals))
+        c = [a.real + 0.0 for a in c]
+        if any(imags):
+            mags = list(map(abs, c))
     else:
         c = list(map(complex, c))
     derivs = _derivs(c)
-    mags = [abs(a) for a in c]
 
     def residual(z):
         return abs(horner(c, z)) / _magnitude_scale(mags, abs(z))
@@ -299,19 +362,20 @@ def _root_clusters(coeffs) -> tuple[list, bool]:
     found = []
     if is_real:
         total = 0
-        raw = _one_per_pair(_eigen_roots(reals))
+        raw = _one_per_pair(_eigen_roots(c))
         items = sorted(([z, 1] for z in raw), key=_order)
         for z, m in _real_clusters(items, derivs):
             if _on_axis(z):
-                x = complex(_newton(derivs, m - 1, z).real, 0.0)
-                found.append((x, m, residual(x)))
+                x = _newton(derivs, m - 1, z).real
+                found.append((complex(x, 0.0), m, residual(x)))
                 total += m
                 continue
             z = _newton(derivs, m - 1, z)
             total += 2 * m
             if _on_axis(z):
-                z = complex(z.real, 0.0)
-                res = residual(z)
+                x = z.real
+                res = residual(x)
+                z = complex(x, 0.0)
                 found += [(z, m, res), (z, m, res)]
                 continue
             res = residual(z)
@@ -511,17 +575,16 @@ def _classify(p: QPoly, x: float, y: float, v, tau_zero: float):
     sphere_values(p, x, y), which zero_set then reuses for the residual.
     K = -A B^{-1}, the TAU_UNIT test of is_unit_imaginary and the point
     x + K y take the IEEE operations of the Quaternion methods, in their
-    order; the point is the one Quaternion built."""
+    order; the point is the one Quaternion built. B^{-1} comes from
+    _inverse_parts, as in Quaternion.inverse, so it holds where |B|^2
+    leaves the float range."""
     aw, ax, ay, az, bw, bx, by, bz = v
     bound = tau_zero * p.eval_scale(math.hypot(x, y))
     nb = _norm4(bw, bx, by, bz)
     if _norm4(aw, ax, ay, az) <= bound and nb <= bound:
         return ("spherical", None)
     if nb > bound:
-        n2 = bw * bw + bx * bx + by * by + bz * bz
-        if n2 == 0.0:
-            raise ValueError("zero quaternion has no inverse")
-        iw, ix, iy, iz = bw / n2, -bx / n2, -by / n2, -bz / n2
+        iw, ix, iy, iz = _inverse_parts(bw, bx, by, bz)
         kw = -(aw * iw - ax * ix - ay * iy - az * iz)
         kx = -(aw * ix + ax * iw + ay * iz - az * iy)
         ky = -(aw * iy - ax * iz + ay * iw + az * ix)

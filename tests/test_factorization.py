@@ -1,5 +1,7 @@
 import cmath
+import math
 import random
+from itertools import zip_longest
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -320,3 +322,40 @@ def test_factor_takes_an_ndarray_as_its_list():
         assert repr(fejer_riesz_factor(q.astype(complex))) == repr(want)
     assert repr(fejer_riesz_factor(np.array([4, 0, 1]))) == \
         repr(fejer_riesz_factor([4.0, 0.0, 1.0]))
+
+
+def fejer_riesz_from_the_full_list(q):
+    """fejer_riesz_factor's product with M's roots read from the full
+    complex_roots list; q is real, trimmed, of even degree with a
+    positive leading coefficient."""
+    roots_m = []
+    for cl in complex_roots(q):
+        if cl.center.imag > 0:
+            roots_m.extend([cl.center] * cl.multiplicity)
+        elif cl.center.imag == 0:
+            if cl.multiplicity % 2:
+                raise NumericalBreakdown(
+                    "odd real root multiplicity, polynomial changes sign",
+                    root=cl.center.real, multiplicity=cl.multiplicity)
+            roots_m.extend([cl.center] * (cl.multiplicity // 2))
+    m = [complex(math.sqrt(q[-1]))]
+    for r in roots_m:
+        m = factorization._mul(m, [-r, 1.0])
+    prod = factorization._mul(m, [c.conjugate() for c in m])
+    diff = [a - b for a, b in zip_longest(prod, q, fillvalue=0.0)]
+    residual = max(map(abs, diff)) / (1.0 + max(map(abs, q)))
+    return MFactor(tuple(m), residual)
+
+
+def test_factor_reads_the_upper_half_plane_as_the_full_list_did():
+    rng = random.Random(1506)
+    for _ in range(200):
+        roots = []
+        for _ in range(rng.randint(0, 2)):
+            roots += [complex(rng.uniform(-2, 2))] * 2
+        for _ in range(rng.randint(1 if not roots else 0, 2)):
+            z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
+            roots += [z, z.conjugate()] * rng.choice([1, 2])
+        q = (rng.uniform(0.5, 2) * np.real(npp.polyfromroots(roots))).tolist()
+        assert repr(fejer_riesz_factor(q)) == repr(
+            fejer_riesz_from_the_full_list(q))

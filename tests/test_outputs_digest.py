@@ -1,0 +1,16 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "outputs_digest.py"
+
+
+def test_outputs_digest_is_deterministic():
+    args = [sys.executable, str(TOOL), "--workload", "real", "--seed", "1001",
+            "--count", "20"]
+    lines = [subprocess.run(args, capture_output=True, text=True, check=True,
+                            timeout=120).stdout for _ in range(2)]
+    assert lines[0] == lines[1]
+    assert re.fullmatch(r"real seed=1001 count=20 breakdowns=0 "
+                        r"sha256=[0-9a-f]{64}\n", lines[0])

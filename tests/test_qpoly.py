@@ -2,11 +2,14 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlucas.quaternion import I, J, K, Quaternion, random_unit_imaginary
+from qlucas.quaternion import (
+    I, J, K, Quaternion, _norm4, random_unit_imaginary,
+)
 from qlucas.qpoly import (
     QPoly, SlicePoly, characteristic_poly, left_divide_linear,
     pointwise_star_eval, restrict_to_slice, sphere_values, star_mul,
@@ -405,3 +408,50 @@ def test_non_finite_coefficient_is_a_value_error(bad, part):
     if part == 0:
         with pytest.raises(ValueError, match="coefficient 1 is not finite"):
             QPoly([1.0, bad, 1.0])
+
+
+def test_real_coefficients_build_no_quaternion(monkeypatch):
+    # floats, ints, bools and -0.0 give the parts and norms of the same
+    # values passed as Quaternions, and the norms are those of _norm4
+    rng = random.Random(1505)
+    cases = [[-0.0, 1.0], [0.0, -0.0, 2], [True, False, -3], [1e-170] * 3,
+             [1e200, -1e200, 3.5], [5e-324, 1.0]]
+    for _ in range(300):
+        cases.append([rng.choice([
+            rng.uniform(-3, 3), rng.randint(-5, 5), rng.random() < 0.5,
+            -0.0, rng.uniform(-1, 1) * 2.0 ** rng.randint(-1074, 1023)])
+            for _ in range(rng.randint(1, 8))])
+    for c in cases:
+        want = QPoly([Quaternion(v) for v in c])
+        norms = [_norm4(v, 0.0, 0.0, 0.0) for v in want.parts[0]]
+        monkeypatch.setattr(Quaternion, "__init__", None)
+        p = QPoly(c)
+        monkeypatch.undo()
+        assert repr(p.parts) == repr(want.parts)
+        assert repr(p.norms) == repr(want.norms) == repr(
+            tuple(norms[:len(want.norms)]))
+        d = p.derivative()
+        assert repr(d.norms) == repr(tuple(
+            _norm4(*v) for v in zip(*d.parts)))
+    # numpy scalars and complex values give Python float parts
+    c = [np.float64(1.5), np.complex128(2.0 - 1.0j), 1j, np.float64(-0.0)]
+    want = QPoly([Quaternion(1.5), Quaternion(2.0, -1.0), Quaternion(0, 1),
+                  Quaternion(-0.0)])
+    assert repr(QPoly(c).parts) == repr(want.parts)
+    assert repr(QPoly(c).norms) == repr(want.norms)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                 complex(1.0, math.inf),
+                                 complex(math.nan, 0.0)])
+def test_non_finite_real_or_complex_coefficient_message(bad):
+    with pytest.raises(ValueError) as ex:
+        QPoly([1.0, 2, bad])
+    assert str(ex.value) == f"coefficient 2 is not finite: {bad!r}"
+
+
+def test_integer_beyond_the_float_range_overflows():
+    with pytest.raises(OverflowError, match="int too large"):
+        QPoly([1, 10 ** 400])
+    with pytest.raises(TypeError, match="is not a quaternion or real"):
+        QPoly([1.0, "2"])

@@ -88,6 +88,24 @@ def test_inverse_and_quotients():
 def test_inverse_of_zero_raises():
     with pytest.raises(ValueError):
         Quaternion().inverse()
+    with pytest.raises(ValueError, match="zero quaternion has no inverse"):
+        Quaternion(-0.0, 0.0, -0.0, 0.0).inverse()
+
+
+def test_inverse_holds_at_both_ends_of_the_float_range():
+    # the squared norm overflows at parts near 1e155 and underflows below
+    # about 1e-162; scaling by a power of two is exact, so the inverse of
+    # q 2^k is that of q times 2^-k, bit for bit
+    rng = random.Random(72)
+    for _ in range(200):
+        q = Quaternion(*(rng.uniform(-5, 5) for _ in range(4)))
+        inv = q.inverse()
+        assert NORM_SQ_MIN <= q.norm2() < math.inf
+        for k in (540, 700, 1000, -540, -700, -900):
+            big = Quaternion(*(math.ldexp(v, k) for v in q.to_list()))
+            assert not NORM_SQ_MIN <= big.norm2() < math.inf
+            want = [math.ldexp(v, -k) for v in inv.to_list()]
+            assert big.inverse().to_list() == want
 
 
 def test_isclose_and_finiteness():
