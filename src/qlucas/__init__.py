@@ -9,18 +9,13 @@ from .quaternion import (
     ZERO,
     Quaternion,
     TwoSphere,
-    imag_unit,
     is_unit_imaginary,
     orthogonal_unit,
     random_unit_imaginary,
-    same_sphere,
-    sphere_of,
 )
 from .qpoly import (
     QPoly,
     SlicePoly,
-    characteristic_poly,
-    left_divide_linear,
     pointwise_star_eval,
     restrict_to_slice,
     star_mul,
@@ -28,11 +23,8 @@ from .qpoly import (
 from .roots import (
     IsolatedZero,
     NumericalBreakdown,
-    RootCluster,
     SphereZero,
     ZeroSet,
-    classify_sphere,
-    complex_roots,
     critical_points,
     zero_set,
 )
@@ -66,12 +58,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Quaternion", "TwoSphere", "I", "J", "K", "ONE", "ZERO",
-    "imag_unit", "is_unit_imaginary", "orthogonal_unit",
-    "random_unit_imaginary", "same_sphere", "sphere_of",
+    "is_unit_imaginary", "orthogonal_unit", "random_unit_imaginary",
     "QPoly", "SlicePoly", "star_mul", "pointwise_star_eval",
-    "left_divide_linear", "characteristic_poly", "restrict_to_slice",
-    "RootCluster", "complex_roots", "NumericalBreakdown",
-    "IsolatedZero", "SphereZero", "ZeroSet", "classify_sphere",
+    "restrict_to_slice",
+    "NumericalBreakdown", "IsolatedZero", "SphereZero", "ZeroSet",
     "zero_set", "critical_points",
     "HullCertificate", "Outside", "hull_membership_slice",
     "hull_membership_4d",

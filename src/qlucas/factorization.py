@@ -55,8 +55,8 @@ def fejer_riesz_factor(q_coeffs) -> MFactor:
     M collects the positive-imaginary member of every conjugate root
     pair at full multiplicity and half of every (necessarily even) real
     root multiplicity, scaled by sqrt of the leading coefficient. Those
-    are the roots on the closed upper half-plane, which _root_clusters
-    gives without the mirror images, in complex_roots' order. Odd
+    are the roots on the closed upper half-plane, the ones _root_clusters
+    gives for real coefficients, sorted by real then imaginary part. Odd
     degree, a nonpositive leading coefficient, or an odd real root
     multiplicity all mean Q takes negative values and there is no such
     factorization.

@@ -299,7 +299,10 @@ def _solve(base, fact):
     """Weights, summing to 1, of the point of the affine hull nearest the
     origin, from the factorization of the differences from base: least
     squares R mu = -Q^T base by back substitution, weight 0 on each
-    dependent difference."""
+    dependent difference, so Wolfe's cycle drops its vertex. Least
+    squares on the differences keeps the point accurate when vertices
+    nearly coincide, as support points on a sphere do near
+    convergence."""
     diffs, _, basis, rcols, kept = fact
     b0, b1, b2, b3 = base
     mu = [0.0] * len(diffs)
@@ -311,24 +314,16 @@ def _solve(base, fact):
     return [1.0 - sum(mu)] + mu
 
 
-def _affine_min(verts):
-    """Weights, summing to 1, of the point of the affine hull of verts
-    (4-tuples) nearest the origin, and an orthonormal basis of the span
-    of the differences verts[k] - verts[0].
-
-    Least squares on those differences keeps the point accurate when
-    vertices nearly coincide, as support points on a sphere do near
-    convergence. It is solved by a QR factorization (_factor) and back
-    substitution. A dependent difference gets weight 0 and no basis
-    vector, so Wolfe's cycle drops its vertex."""
-    fact = _factor(verts)
-    return _solve(verts[0], fact), fact[2]
-
-
 def _wolfe(verts, lam, carry=None):
-    """_nearest_face, returning the whole factorization of the face kept
-    (see _factor). carry, the factorization of verts[:-1], serves the
-    first affine minimum."""
+    """Wolfe's minor cycle (Math. Prog. 11, 1976): from weights lam of
+    a point of conv(verts), move toward the nearest point of the affine
+    hull of the remaining vertices until a weight reaches zero, and drop
+    that vertex, until the nearest point of the affine hull has positive
+    weights. It is then the nearest point of conv(verts), and in exact
+    arithmetic the remaining vertices are affinely independent, at most
+    five in R^4. Returns the indices kept, their weights and the
+    factorization of the face they span (see _factor). carry, the
+    factorization of verts[:-1], serves the first affine minimum."""
     keep = list(range(len(verts)))
     fact = _factor(verts, carry)
     while True:
@@ -344,19 +339,6 @@ def _wolfe(verts, lam, carry=None):
         tot = sum([lam[i] for i in alive])
         keep, lam = [keep[i] for i in alive], [lam[i] / tot for i in alive]
         fact = _factor([verts[i] for i in keep])
-
-
-def _nearest_face(verts, lam):
-    """Wolfe's minor cycle (Math. Prog. 11, 1976): from weights lam of
-    a point of conv(verts), move toward the nearest point of the affine
-    hull of the remaining vertices until a weight reaches zero, and drop
-    that vertex, until the nearest point of the affine hull has positive
-    weights. It is then the nearest point of conv(verts), and in exact
-    arithmetic the remaining vertices are affinely independent, at most
-    five in R^4. Returns the indices kept, their weights and the basis
-    from _affine_min."""
-    keep, mu, fact = _wolfe(verts, lam)
-    return keep, mu, fact[2]
 
 
 def _sphere_point(x, y, u, q):

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Sequence
 
-from .quaternion import (Quaternion, TwoSphere, _coerce, _norm3, _norm4,
-                         _parts, orthogonal_unit)
+from .quaternion import (Quaternion, _coerce, _norm3, _norm4, _parts,
+                         orthogonal_unit)
 from .tolerances import TAU_REAL, TAU_STAR_ZERO, TAU_TRIM_REL
 
 
@@ -234,9 +234,9 @@ def _magnitude_scale(mags, r: float) -> float:
     return s
 
 
-def sphere_values(p: QPoly, x: float,
-                  y: float) -> tuple[Quaternion, Quaternion]:
-    """(A, B) with P(x + I y) = A + I B for every unit imaginary I.
+def _sphere_parts(parts, x: float, y: float) -> tuple[float, ...]:
+    """(A, B) with P(x + I y) = A + I B for every unit imaginary I, as
+    eight floats, A's parts then B's, from the parts of P.
 
     Representation formula (Gentili and Struppa, Adv. Math. 216, 2007):
     (x + I y)^n = Re z^n + I Im z^n with z = x + iy, so A and B hold the
@@ -244,13 +244,6 @@ def sphere_values(p: QPoly, x: float,
     of P (the w, x, y and z parts of the coefficients). One Horner pass
     with four complex accumulators; no Hamilton product.
     """
-    v = _sphere_parts(p.parts, x, y)
-    return Quaternion(*v[:4]), Quaternion(*v[4:])
-
-
-def _sphere_parts(parts, x: float, y: float) -> tuple[float, ...]:
-    """The eight floats of sphere_values(P, x, y), A's parts then B's,
-    from the parts of P."""
     z = complex(x, y)
     aw = ax = ay = az = 0j
     for cw, cx, cy, cz in zip(*map(reversed, parts)):
@@ -265,7 +258,7 @@ def _sphere_parts(parts, x: float, y: float) -> tuple[float, ...]:
 def _value(parts, w: float, x: float, y: float,
            z: float) -> tuple[float, float, float, float]:
     """The parts of P(q), q = w + x i + y j + z k, from the parts of P:
-    A + I B with (A, B) = sphere_values(P, w, |Im q|) and the Hamilton
+    A + I B with (A, B) = _sphere_parts(parts, w, |Im q|) and the Hamilton
     product I B written out, I = Im q / |Im q|; A alone when q is real."""
     r = _norm3(x, y, z)
     aw, ax, ay, az, bw, bx, by, bz = _sphere_parts(parts, w, r)
@@ -314,33 +307,6 @@ def pointwise_star_eval(p: QPoly, q: QPoly, at: Quaternion) -> Quaternion:
         return Quaternion()
     inner = v.inverse() * at * v
     return v * q.evaluate(inner)
-
-
-def left_divide_linear(p: QPoly, alpha: Quaternion) -> tuple[QPoly, Quaternion]:
-    """Divide by the left factor (q - alpha): P = (q - alpha) * Q + r.
-
-    The constant remainder r equals P(alpha), so it vanishes exactly when
-    alpha is a zero of P.
-    """
-    alpha = _coerce(alpha)
-    if p.is_zero:
-        raise ValueError("cannot divide the zero polynomial")
-    a = p.coeffs
-    m = len(a) - 1
-    if m == 0:
-        return QPoly(), a[0]
-    # back-substitution of a_n = b_{n-1} - alpha b_n
-    b: list[Quaternion] = [Quaternion()] * m
-    b[m - 1] = a[m]
-    for n in range(m - 1, 0, -1):
-        b[n - 1] = a[n] + alpha * b[n]
-    r = a[0] + alpha * b[0]
-    return QPoly(b), r
-
-
-def characteristic_poly(s: TwoSphere) -> QPoly:
-    """Real quadratic q^2 - 2x q + (x^2 + y^2) vanishing exactly on [s]."""
-    return QPoly([s.x * s.x + s.y * s.y, -2.0 * s.x, 1.0])
 
 
 @dataclass(frozen=True)

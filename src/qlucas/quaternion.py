@@ -6,7 +6,7 @@ import math
 from typing import NamedTuple
 
 from .tolerances import (NORM_SQ_MIN, TAU_CLOSE, TAU_DRAW, TAU_PARALLEL,
-                         TAU_SPHERE, TAU_UNIT, TAU_UNIT_INPUT)
+                         TAU_UNIT, TAU_UNIT_INPUT)
 
 
 class Quaternion:
@@ -202,27 +202,10 @@ class TwoSphere(NamedTuple):
     x: float
     y: float
 
-    def contains(self, q: Quaternion) -> bool:
-        return (abs(q.w - self.x) <= TAU_SPHERE
-                and abs(q.im_norm() - self.y) <= TAU_SPHERE)
-
     def representative(self, unit: Quaternion) -> Quaternion:
         """The point x + unit * y on the sphere."""
         return Quaternion(self.x, unit.x * self.y, unit.y * self.y,
                           unit.z * self.y)
-
-
-def imag_unit(q: Quaternion) -> Quaternion:
-    """Unit imaginary direction Im(q)/|Im(q)| of a non-real quaternion.
-
-    Raises ValueError for (numerically) real input: every unit imaginary
-    works there and the caller must pick a slice explicitly.
-    """
-    n = q.im_norm()
-    if n <= TAU_UNIT:
-        raise ValueError("real quaternion has no canonical imaginary unit; "
-                         "choose a slice explicitly")
-    return Quaternion(0.0, q.x / n, q.y / n, q.z / n)
 
 
 def imag_direction(q: Quaternion) -> Quaternion:
@@ -240,15 +223,6 @@ def _direction_parts(x: float, y: float,
     vx, vy, vz = x / big, y / big, z / big
     n = _norm4(0.0, vx, vy, vz)
     return 0.0 / n, vx / n, vy / n, vz / n
-
-
-def sphere_of(q: Quaternion) -> TwoSphere:
-    return TwoSphere(q.w, q.im_norm())
-
-
-def same_sphere(p: Quaternion, q: Quaternion) -> bool:
-    return (abs(p.w - q.w) <= TAU_SPHERE
-            and abs(p.im_norm() - q.im_norm()) <= TAU_SPHERE)
 
 
 def is_unit_imaginary(q: Quaternion, tol: float = TAU_UNIT) -> bool:

@@ -31,13 +31,6 @@ class NumericalBreakdown(RuntimeError):
         self.info = info
 
 
-@dataclass(frozen=True)
-class RootCluster:
-    center: complex
-    multiplicity: int
-    residual: float
-
-
 class _derivs:
     """All derivatives as lists of Python numbers, which Horner's rule
     runs through faster than numpy scalars, then [0j] at every higher
@@ -295,35 +288,24 @@ def _real_clusters(items, derivs):
     return out
 
 
-def complex_roots(coeffs) -> list[RootCluster]:
-    """All roots of a complex-coefficient polynomial with multiplicities.
-
-    Ascending coefficients. Companion-matrix eigenvalues, agglomerative
-    cluster merging (see CLUSTER_RADII), then Newton polishing on the
-    (multiplicity-1)-th derivative and the residual at each center.
+def _root_clusters(coeffs) -> tuple[list, bool]:
+    """All roots of a polynomial with ascending complex coefficients,
+    with multiplicities: (clusters, upper), the clusters as (center,
+    multiplicity, residual) tuples sorted by _order. Companion-matrix
+    eigenvalues, agglomerative cluster merging (see CLUSTER_RADII), then
+    Newton polishing on the (multiplicity-1)-th derivative and the
+    residual at each center.
 
     Real coefficients make the roots conjugate-symmetric, and Horner's
-    rule commutes exactly with conjugation, so the work on one half-plane
-    fixes the other. LAPACK's real xGEEV lists each pair x +- iy as
-    adjacent exact conjugates, upper first; only the real roots and the
-    upper members are clustered (_real_clusters), validated and
-    polished, and each off-axis cluster is then mirrored with its
-    residual. Centers within TAU_IM_SNAP of the axis, before or after
-    polishing, are put on it.
-    """
-    found, upper = _root_clusters(coeffs)
-    if upper:
-        found = _mirrored(found)
-    return [RootCluster(*cl) for cl in found]
-
-
-def _root_clusters(coeffs) -> tuple[list, bool]:
-    """The core of complex_roots, with its breakdowns: (clusters, upper),
-    the clusters as (center, multiplicity, residual) tuples sorted by
-    _order. For real coefficients upper is True and the clusters cover
-    the closed upper half-plane, the real ones and the upper member of
-    each conjugate pair, which is all zero_set reads; _mirrored adds the
-    rest.
+    rule commutes exactly with conjugation, so the work on one
+    half-plane fixes the other. LAPACK's real xGEEV lists each pair
+    x +- iy as adjacent exact conjugates, upper first (_one_per_pair);
+    only the real roots and the upper members are clustered
+    (_real_clusters), validated and polished. upper is then True and the
+    clusters cover the closed upper half-plane, the real ones and the
+    upper member of each conjugate pair, whose mirror image has the same
+    multiplicity and residual. Centers within TAU_IM_SNAP of the axis,
+    before or after polishing, are put on it.
 
     The magnitudes of the coefficients are taken once; the trim, the
     realness test and the residual scale read them. Real coefficients
@@ -388,11 +370,13 @@ def _root_clusters(coeffs) -> tuple[list, bool]:
         total = sum([m for _, m, _ in found])
 
     found.sort(key=_order)
-    if any([res > TAU_ROOT for _, _, res in found]):
-        # a conjugate pair shares its residual; name the first failing
-        # cluster of the full list, as complex_roots lists them
-        full = _mirrored(found) if is_real else found
-        z, m, res = next(cl for cl in full if cl[2] > TAU_ROOT)
+    failing = [cl for cl in found if cl[2] > TAU_ROOT]
+    if failing:
+        # a conjugate pair shares its residual; name the failing root
+        # first in _order, the lower member of a pair; a real center is
+        # not conjugated, which would give its imaginary part as -0.0
+        z, m, res = min([(z.conjugate() if is_real and z.imag else z, m, res)
+                         for z, m, res in failing], key=_order)
         raise NumericalBreakdown(
             "root residual above tolerance",
             center=z, multiplicity=m, residual=res)
@@ -400,20 +384,6 @@ def _root_clusters(coeffs) -> tuple[list, bool]:
         raise NumericalBreakdown("multiplicities do not sum to the degree",
                                  degree=deg, found=total)
     return found, is_real
-
-
-def _mirrored(upper: list) -> list:
-    """All clusters of a real polynomial from those on the closed upper
-    half-plane, sorted by _order: each off-axis one with its conjugate.
-    The sort is stable, so the list is the one that sorting every
-    cluster in the order polishing found them gives."""
-    out = []
-    for cl in upper:
-        out.append(cl)
-        z, m, res = cl
-        if z.imag:
-            out.append((z.conjugate(), m, res))
-    return sorted(out, key=_order)
 
 
 @functools.lru_cache(maxsize=32)
@@ -532,8 +502,8 @@ def _sphere_residual(p: QPoly, x: float, y: float, v=None) -> float:
     """Exact maximum of |P| / eval_scale(hypot(x, y)) over the whole
     sphere [x + Iy], or at the real point x when y = 0.
 
-    With P(x + Iy) = A + I B (the eight floats v of sphere_values, or
-    _sphere_parts when the caller has none), |A + I B|^2 =
+    With P(x + Iy) = A + I B (the eight floats v of _sphere_parts,
+    computed here when the caller has none), |A + I B|^2 =
     |A|^2 + |B|^2 - 2 <Im(B A^c), I>, so the maximum is
     sqrt(|A|^2 + |B|^2 + 2 |Im(B A^c)|), attained at
     I = -Im(B A^c) / |Im(B A^c)| (at every I when Im(B A^c) = 0).
@@ -549,32 +519,16 @@ def _sphere_residual(p: QPoly, x: float, y: float, v=None) -> float:
     return top / p.eval_scale(math.hypot(x, y))
 
 
-def classify_sphere(p: QPoly, s: TwoSphere, tau_zero: float = TAU_ZERO):
-    """Classify a candidate sphere of zeros of p.
-
-    Returns ("spherical", None), ("isolated", point) or
-    ("not_a_zero", None).
-
-    On [x + Iy] the polynomial takes the form P(x + Ky) = a + K b with a,
-    b independent of K: (a, b) = sphere_values(p, x, y), the real and
-    imaginary parts at x + iy of the four real component polynomials of
-    p. Both vanishing means the whole sphere is zeros; otherwise the
-    only candidate zero is at K = -a b^{-1}, valid when K is unit
-    imaginary. A sphere with y <= 0 is the real point x.
-    """
-    if s.y <= 0.0:
-        q = Quaternion(s.x)
-        if p.evaluate(q).norm() <= tau_zero * p.eval_scale(abs(s.x)):
-            return ("isolated", q)
-        return ("not_a_zero", None)
-    return _classify(p, s.x, s.y, _sphere_parts(p.parts, s.x, s.y), tau_zero)
-
-
 def _classify(p: QPoly, x: float, y: float, v, tau_zero: float):
-    """classify_sphere for y > 0 from the eight floats v of
-    sphere_values(p, x, y), which zero_set then reuses for the residual.
-    K = -A B^{-1}, the TAU_UNIT test of is_unit_imaginary and the point
-    x + K y take the IEEE operations of the Quaternion methods, in their
+    """Classify the candidate sphere [x + Iy], y > 0, of zeros of p:
+    ("spherical", None), ("isolated", point) or ("not_a_zero", None).
+
+    On the sphere P(x + Ky) = A + K B with A, B independent of K, and v
+    holds their eight floats (_sphere_parts), which zero_set then reuses
+    for the residual. Both vanishing means the whole sphere is zeros;
+    otherwise the only candidate zero is at K = -A B^{-1}, valid when K
+    is unit imaginary. K, the TAU_UNIT test of is_unit_imaginary and the
+    point x + K y take the IEEE operations of the Quaternion methods, in their
     order; the point is the one Quaternion built. B^{-1} comes from
     _inverse_parts, as in Quaternion.inverse, so it holds where |B|^2
     leaves the float range."""
@@ -606,7 +560,7 @@ def zero_set(p: QPoly, tau_zero: float = TAU_ZERO) -> ZeroSet:
 
     Route: roots of the symmetrization P^s on C(i); real roots are real
     zeros (half the P^s multiplicity), conjugate pairs are candidate
-    spheres classified as classify_sphere does. Only the closed upper
+    spheres, classified by _classify. Only the closed upper
     half-plane of the roots is read (_root_clusters). Real-coefficient
     input skips the symmetrization: its own real roots and conjugate
     pairs already are the real zeros and the (always spherical) zero
@@ -670,7 +624,8 @@ def _zero_set_real(p: QPoly, tau_zero: float) -> ZeroSet:
     """Zeros of a real p from the roots of its real part. For an exactly
     real p the cluster residuals are its sphere residuals, up to an ulp
     (abs of a complex rounds unlike sqrt(u^2 + v^2)); imaginary parts
-    within the is_real tolerance need _sphere_residual."""
+    within the is_real tolerance need _sphere_residual, which must then
+    be within tau_zero: they can be the whole of a tiny p."""
     clusters, _ = _root_clusters(p.real_coeffs())
     exact = not any(map(any, p.parts[1:]))
     isolated: list[IsolatedZero] = []
@@ -679,6 +634,10 @@ def _zero_set_real(p: QPoly, tau_zero: float) -> ZeroSet:
         x, y = z.real, z.imag
         if not exact:
             res = _sphere_residual(p, x, y)
+            if res > tau_zero:
+                raise NumericalBreakdown(
+                    "root of the real part is not a zero of p",
+                    x=x, y=y, residual=res)
         if y == 0:
             isolated.append(IsolatedZero(Quaternion(x), m, res))
         else:

@@ -16,9 +16,6 @@ ULP = 2.0 ** -52
 TAU_UNIT = 1e-10
 # orthogonal_unit accepts any direction normalized in double precision
 TAU_UNIT_INPUT = 1e-6
-# two quaternions share a sphere when their real parts and imaginary
-# norms agree to this
-TAU_SPHERE = 1e-8
 # default distance of Quaternion.isclose
 TAU_CLOSE = 1e-12
 # orthogonal_unit skips an axis whose cosine with I is within this of 1,
@@ -47,7 +44,7 @@ TAU_STAR_ZERO = 1e-10
 # roots and zero sets
 
 # complex coefficients are real when every |Im a| is within this times
-# max |a| (complex_roots, fejer_riesz_factor)
+# max |a| (roots._root_clusters, fejer_riesz_factor)
 TAU_COEFF_REAL = 1e-13
 # base cluster radius: roots within this relative distance are merged
 # without validation
@@ -61,7 +58,7 @@ TAU_CLUSTER = 1e-6
 # TAU_VALIDATE of their magnitude bound. Two genuinely distinct roots
 # fail that test unless they are within ~TAU_CLUSTER of each other, in
 # which case merging is the contract anyway. A real polynomial runs the
-# ladder on the closed upper half-plane only (roots.complex_roots): a
+# ladder on the closed upper half-plane only (roots._real_clusters): a
 # component there that links to its own mirror at the first radius,
 # |u - conj v| within it for some u, v, runs it conjugate-closed.
 CLUSTER_RADII = (2e-2, 2e-3, 2e-4, 2e-5)

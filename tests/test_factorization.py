@@ -13,7 +13,7 @@ from qlucas.factorization import (
 )
 from qlucas.qpoly import QPoly, horner, restrict_to_slice
 from qlucas.quaternion import I, J, Quaternion, random_unit_imaginary
-from qlucas.roots import NumericalBreakdown, complex_roots
+from qlucas.roots import NumericalBreakdown, _root_clusters
 
 
 def hermitian_square(p1, p2=()):
@@ -70,8 +70,10 @@ def test_factor_roots_live_in_the_closed_upper_half_plane():
         m = fejer_riesz_factor(q)
         assert m.residual <= 1e-8
         if m.degree >= 1:
-            for cl in complex_roots(list(m.m_coeffs)):
-                assert cl.center.imag >= -1e-7
+            clusters, upper = _root_clusters(list(m.m_coeffs))
+            for z, _, _ in clusters:
+                # a real M also has the mirror image of each root
+                assert (abs(z.imag) if upper else -z.imag) <= 1e-7
 
 
 def test_factor_product_reconstructs_input():
@@ -207,11 +209,11 @@ def numpy_slice_symmetrization(sp):
 def numpy_m_coeffs(q):
     q = np.asarray(q, dtype=float)
     roots = []
-    for cl in complex_roots(q):
-        if cl.center.imag > 0:
-            roots += [cl.center] * cl.multiplicity
-        elif cl.center.imag == 0:
-            roots += [cl.center] * (cl.multiplicity // 2)
+    for z, m, _ in _root_clusters(q)[0]:
+        if z.imag > 0:
+            roots += [z] * m
+        elif z.imag == 0:
+            roots += [z] * (m // 2)
     return npp.polyfromroots(roots).astype(complex) * np.sqrt(q[-1])
 
 
@@ -326,18 +328,22 @@ def test_factor_takes_an_ndarray_as_its_list():
 
 def fejer_riesz_from_the_full_list(q):
     """fejer_riesz_factor's product with M's roots read from the full
-    complex_roots list; q is real, trimmed, of even degree with a
+    root list, the closed upper half of _root_clusters with the mirror
+    image of each pair; q is real, trimmed, of even degree with a
     positive leading coefficient."""
+    upper, _ = _root_clusters(q)
+    full = sorted(upper + [(z.conjugate(), m, r) for z, m, r in upper
+                           if z.imag], key=lambda cl: (cl[0].real, cl[0].imag))
     roots_m = []
-    for cl in complex_roots(q):
-        if cl.center.imag > 0:
-            roots_m.extend([cl.center] * cl.multiplicity)
-        elif cl.center.imag == 0:
-            if cl.multiplicity % 2:
+    for z, m, _ in full:
+        if z.imag > 0:
+            roots_m.extend([z] * m)
+        elif z.imag == 0:
+            if m % 2:
                 raise NumericalBreakdown(
                     "odd real root multiplicity, polynomial changes sign",
-                    root=cl.center.real, multiplicity=cl.multiplicity)
-            roots_m.extend([cl.center] * (cl.multiplicity // 2))
+                    root=z.real, multiplicity=m)
+            roots_m.extend([z] * (m // 2))
     m = [complex(math.sqrt(q[-1]))]
     for r in roots_m:
         m = factorization._mul(m, [-r, 1.0])

@@ -13,7 +13,7 @@ from qlucas.gauss_lucas import (
 from qlucas.hull import HullCertificate, Outside, hull_membership_slice
 from qlucas.qpoly import QPoly
 from qlucas.quaternion import (
-    I, J, K, Quaternion, imag_unit, random_unit_imaginary,
+    I, J, K, Quaternion, imag_direction, random_unit_imaginary,
 )
 from qlucas.roots import NumericalBreakdown, zero_set
 
@@ -128,7 +128,7 @@ def test_slice_equivalence_on_verified_instance():
 
 
 def test_slice_equivalence_sees_the_violation_on_its_own_slice():
-    axis = imag_unit(VIOLATING_CRITICAL)
+    axis = imag_direction(VIOLATING_CRITICAL)
     out = slice_equivalence_check(VIOLATOR, units=[axis, I, J])
     assert out["reference_verified"] is False
     flagged = out["slices"][0]

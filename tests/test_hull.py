@@ -382,11 +382,11 @@ def test_slice_route_takes_tiny_imaginary_parts():
 def test_dependent_difference_gets_weight_zero():
     # C - A is exactly parallel to B - A, and the last vertex repeats A
     a, b, c = (1.0, -1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0)
-    mu, basis = hull._affine_min([a, b, c, a])
-    assert mu == [0.5, 0.5, 0.0, 0.0]
-    assert basis == [(0.0, 1.0, 0.0, 0.0)]
+    fact = hull._factor([a, b, c, a])
+    assert hull._solve(a, fact) == [0.5, 0.5, 0.0, 0.0]
+    assert fact[2] == [(0.0, 1.0, 0.0, 0.0)]
     # Wolfe's cycle drops the dependent vertex and keeps the nearest point
-    keep, lam, _ = hull._nearest_face([a, b, c], [0.5, 0.0, 0.5])
+    keep, lam, _ = hull._wolfe([a, b, c], [0.5, 0.0, 0.5])
     assert keep == [0, 1] and lam == [0.5, 0.5]
 
 

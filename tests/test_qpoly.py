@@ -11,8 +11,8 @@ from qlucas.quaternion import (
     I, J, K, Quaternion, _norm4, random_unit_imaginary,
 )
 from qlucas.qpoly import (
-    QPoly, SlicePoly, characteristic_poly, left_divide_linear,
-    pointwise_star_eval, restrict_to_slice, sphere_values, star_mul,
+    QPoly, SlicePoly, _sphere_parts, pointwise_star_eval, restrict_to_slice,
+    star_mul,
 )
 from qlucas.tolerances import TAU_REAL
 
@@ -196,37 +196,6 @@ def test_derivative_coefficients():
     assert QPoly([J]).derivative().is_zero
 
 
-def test_left_divide_linear_remainder_is_evaluation():
-    rng = random.Random(55)
-    for _ in range(100):
-        p = rand_poly(rng, 5)
-        if p.degree < 1:
-            continue
-        alpha = rand_q(rng, 1.5)
-        quot, rem = left_divide_linear(p, alpha)
-        assert quot.degree == p.degree - 1
-        recon = star_mul(QPoly([-alpha, Quaternion(1)]), quot) + QPoly([rem])
-        assert all((x - y).norm() <= 1e-10 * (1 + p.max_coeff_norm())
-                   for x, y in zip(recon.coeffs, p.coeffs))
-        assert (rem - p.evaluate(alpha)).norm() <= \
-            1e-10 * (1.0 + p.eval_scale(alpha.norm()))
-    with pytest.raises(ValueError):
-        left_divide_linear(QPoly(), I)
-
-
-def test_characteristic_poly_vanishes_exactly_on_its_sphere():
-    rng = random.Random(8)
-    from qlucas.quaternion import TwoSphere
-    s = TwoSphere(1.25, 2.5)
-    ch = characteristic_poly(s)
-    assert ch.is_real()
-    for q in (s.representative(random_unit_imaginary(rng))
-              for _ in range(12)):
-        assert ch.evaluate(q).norm() <= 1e-12 * ch.eval_scale(q.norm())
-    off = Quaternion(1.25, 2.5 + 1e-3, 0, 0)
-    assert ch.evaluate(off).norm() > 1e-6
-
-
 def test_restrict_to_slice_reconstructs_values():
     rng = random.Random(77)
     for _ in range(100):
@@ -393,7 +362,7 @@ def test_kernels_perform_no_hamilton_product(monkeypatch):
         p.derivative()
         p.conjugate()
         star_mul(p, p)
-        sphere_values(p, 0.3, 1.7)
+        _sphere_parts(p.parts, 0.3, 1.7)
         p.eval_scale(2.5)
 
 

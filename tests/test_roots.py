@@ -4,6 +4,7 @@ import math
 import random
 import warnings
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,8 @@ from qlucas import roots as roots_mod
 from qlucas.quaternion import (
     I, J, K, Quaternion, TwoSphere, is_unit_imaginary, random_unit_imaginary,
 )
-from qlucas.qpoly import (
-    QPoly, characteristic_poly, horner, sphere_values, star_mul, trim_rel,
-)
-from qlucas.roots import (
-    NumericalBreakdown, classify_sphere, complex_roots, critical_points,
-    zero_set,
-)
+from qlucas.qpoly import QPoly, horner, trim_rel
+from qlucas.roots import NumericalBreakdown, critical_points, zero_set
 
 
 def poly_from_roots(roots):
@@ -31,13 +27,60 @@ def poly_from_roots(roots):
     return c
 
 
+@dataclass(frozen=True)
+class RootCluster:
+    """One cluster of the full root list, printed as the golden file
+    records it."""
+    center: complex
+    multiplicity: int
+    residual: float
+
+
+def mirrored(upper):
+    """All clusters of a real polynomial from those on the closed upper
+    half-plane, sorted by _order: each off-axis one with its conjugate.
+    The sort is stable, so the list is the one that sorting every
+    cluster in the order polishing found them gives."""
+    out = []
+    for cl in upper:
+        out.append(cl)
+        z, m, res = cl
+        if z.imag:
+            out.append((z.conjugate(), m, res))
+    return sorted(out, key=roots_mod._order)
+
+
+def all_roots(coeffs):
+    """Every root cluster as a RootCluster, sorted by _order: those of
+    _root_clusters, mirrored for real coefficients."""
+    found, upper = roots_mod._root_clusters(coeffs)
+    return [RootCluster(*cl) for cl in (mirrored(found) if upper else found)]
+
+
+def upper_centers(coeffs):
+    """The centers of _root_clusters above the real axis."""
+    return [z for z, _, _ in roots_mod._root_clusters(coeffs)[0] if z.imag > 0]
+
+
+def sphere_values(p, x, y):
+    """(A, B) with P(x + I y) = A + I B, from _sphere_parts."""
+    v = roots_mod._sphere_parts(p.parts, x, y)
+    return Quaternion(*v[:4]), Quaternion(*v[4:])
+
+
+def classify(p, s, tau_zero=1e-8):
+    """_classify on the sphere s, y > 0, as zero_set calls it."""
+    parts = roots_mod._sphere_parts(p.parts, s.x, s.y)
+    return roots_mod._classify(p, s.x, s.y, parts, tau_zero)
+
+
 def as_multiset(clusters):
     return sorted((round(c.center.real, 6), round(c.center.imag, 6),
                    c.multiplicity) for c in clusters)
 
 
 def test_simple_real_roots_are_exact():
-    cl = complex_roots([6.0, -5.0, 1.0])
+    cl = all_roots([6.0, -5.0, 1.0])
     assert as_multiset(cl) == [(2.0, 0.0, 1), (3.0, 0.0, 1)]
     for c in cl:
         assert c.center.imag == 0.0
@@ -54,7 +97,7 @@ def test_multiple_roots_recover_full_multiplicity():
         roots = []
         for r, m in layout:
             roots += [r] * m
-        cl = complex_roots(np.real(poly_from_roots(roots)))
+        cl = all_roots(np.real(poly_from_roots(roots)))
         got = sorted((c.center.real, c.multiplicity) for c in cl)
         want = sorted(layout)
         assert len(got) == len(want)
@@ -65,7 +108,7 @@ def test_multiple_roots_recover_full_multiplicity():
 
 def test_conjugate_pair_double_root():
     # (z^2 + 1)^2
-    cl = complex_roots([1.0, 0.0, 2.0, 0.0, 1.0])
+    cl = all_roots([1.0, 0.0, 2.0, 0.0, 1.0])
     cs = sorted(((c.center, c.multiplicity) for c in cl),
                 key=lambda t: t[0].imag)
     assert len(cs) == 2
@@ -77,14 +120,14 @@ def test_conjugate_pair_double_root():
 
 
 def test_nearby_but_distinct_roots_stay_separate():
-    cl = complex_roots(np.real(poly_from_roots([1.0, 1.0, 1.01])))
+    cl = all_roots(np.real(poly_from_roots([1.0, 1.0, 1.01])))
     got = sorted((c.multiplicity, round(c.center.real, 4)) for c in cl)
     assert got == [(1, 1.01), (2, 1.0)]
 
 
 def test_cluster_floor_merges_indistinguishable_roots():
     # separation 1e-7 sits below the clustering resolution
-    cl = complex_roots(np.real(poly_from_roots([1.0, 1.0 + 1e-7])))
+    cl = all_roots(np.real(poly_from_roots([1.0, 1.0 + 1e-7])))
     assert len(cl) == 1
     assert cl[0].multiplicity == 2
 
@@ -97,7 +140,7 @@ def test_well_separated_roots_never_merge():
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if all(abs(z - w) > 0.3 for w in roots):
                 roots.append(z)
-        cl = complex_roots(poly_from_roots(roots))
+        cl = all_roots(poly_from_roots(roots))
         assert sorted(c.multiplicity for c in cl) == [1] * 5
         got = sorted((c.center.real, c.center.imag) for c in cl)
         want = sorted((z.real, z.imag) for z in roots)
@@ -112,7 +155,7 @@ def test_real_input_roots_are_conjugate_closed():
         coeffs = [rng.uniform(-3, 3) for _ in range(deg + 1)]
         if abs(coeffs[-1]) < 0.1:
             coeffs[-1] = 1.0
-        cl = complex_roots(coeffs)
+        cl = all_roots(coeffs)
         assert sum(c.multiplicity for c in cl) == deg
         centers = {}
         for c in cl:
@@ -127,7 +170,7 @@ def test_residuals_and_counts():
         roots = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                  for _ in range(rng.randint(1, 6))]
         coeffs = poly_from_roots(roots)
-        cl = complex_roots(coeffs)
+        cl = all_roots(coeffs)
         assert sum(c.multiplicity for c in cl) == len(roots)
         for c in cl:
             assert isinstance(c.center, complex)
@@ -217,7 +260,7 @@ def test_real_input_closes_under_exact_conjugation(reals, conj):
     if not roots:
         roots = [1.0]
     try:
-        cl = complex_roots(np.real(poly_from_roots(roots)))
+        cl = all_roots(np.real(poly_from_roots(roots)))
     except NumericalBreakdown:
         return
     found = Counter((c.center, c.multiplicity, c.residual) for c in cl)
@@ -245,7 +288,7 @@ def test_real_input_polishes_once_per_conjugate_pair(monkeypatch, r, k):
         return newton(*args, **kwargs)
 
     monkeypatch.setattr(roots_mod, "_newton", counted)
-    cl = complex_roots(np.real(poly_from_roots(roots)))
+    cl = all_roots(np.real(poly_from_roots(roots)))
     assert sorted(c.multiplicity for c in cl) == [1] * (r + 2 * k)
     assert len(calls) == r + k
 
@@ -347,27 +390,24 @@ def test_companion_roots_are_np_roots_bit_for_bit(c):
 
 
 def test_degenerate_inputs_raise():
-    with pytest.raises(ValueError):
-        complex_roots([])
-    with pytest.raises(ValueError):
-        complex_roots([0.0, 0.0])
-    with pytest.raises(ValueError):
-        complex_roots([3.0])
+    for c in ([], [0.0, 0.0], [3.0]):
+        with pytest.raises(ValueError):
+            roots_mod._root_clusters(c)
 
 
 def test_classify_sphere_spherical_vs_isolated():
     # q^2 + 1 vanishes on the whole sphere (0, 1)
     p = QPoly([1.0, 0.0, 1.0])
-    kind, pt = classify_sphere(p, TwoSphere(0.0, 1.0))
+    kind, pt = classify(p, TwoSphere(0.0, 1.0))
     assert kind == "spherical" and pt is None
 
     # (q - i) * (q - j) kills only one point of that sphere
     p = QPoly([-I, Quaternion(1)]) * QPoly([-J, Quaternion(1)])
-    kind, pt = classify_sphere(p, TwoSphere(0.0, 1.0))
+    kind, pt = classify(p, TwoSphere(0.0, 1.0))
     assert kind == "isolated"
     assert pt.isclose(I, 1e-10)
 
-    kind, pt = classify_sphere(p, TwoSphere(4.0, 1.0))
+    kind, pt = classify(p, TwoSphere(4.0, 1.0))
     assert kind == "not_a_zero" and pt is None
 
 
@@ -409,7 +449,7 @@ def test_sphere_residual_is_the_maximum_over_the_sphere():
 
 
 def classify_by_two_evaluations(p, s, tau_zero=1e-8, tau_unit=1e-10):
-    """classify_sphere from P(x + iy) and P(x - iy), as first written:
+    """_classify from P(x + iy) and P(x - iy), as first written:
     a = (P(x+iy) + P(x-iy)) / 2 and b = i (P(x-iy) - P(x+iy)) / 2."""
     va = power_sum(p, Quaternion(s.x, s.y))
     vb = power_sum(p, Quaternion(s.x, -s.y))
@@ -434,13 +474,11 @@ def test_classify_sphere_agrees_with_two_evaluations():
     for _ in range(40):
         p = random_factored(rng, rng.randint(2, 5))
         for poly in (p, p.derivative(), p * p.conjugate() * p):
-            for cl in complex_roots(poly.symmetrize().real_coeffs()):
-                if cl.center.imag > 0:
-                    cases.append((poly, TwoSphere(cl.center.real,
-                                                  cl.center.imag)))
+            for z in upper_centers(poly.symmetrize().real_coeffs()):
+                cases.append((poly, TwoSphere(z.real, z.imag)))
     kinds = set()
     for poly, s in cases:
-        kind, pt = classify_sphere(poly, s)
+        kind, pt = classify(poly, s)
         want, want_pt = classify_by_two_evaluations(poly, s)
         assert kind == want
         if pt is not None:
@@ -549,7 +587,7 @@ def test_complex_roots_rejects_non_finite_coefficients(bad):
     for coeffs in ([1.0, bad, 1.0], [1.0, complex(0.0, bad), 1.0],
                    [1.0, 0.0, complex(bad, 1.0)]):
         with pytest.raises(ValueError, match="is not finite"):
-            complex_roots(coeffs)
+            roots_mod._root_clusters(coeffs)
 
 
 def test_root_finding_calls_no_numpy_root_wrapper(monkeypatch):
@@ -566,8 +604,8 @@ def test_root_finding_calls_no_numpy_root_wrapper(monkeypatch):
     rng = random.Random(71)
     p = random_factored(rng, 4)
     real = QPoly([2.0, -1.0, 0.5, 3.0, 1.0])
-    complex_roots([6.0, -5.0, 1.0])
-    complex_roots([1j, 2.0, 1.0 - 1j])
+    roots_mod._root_clusters([6.0, -5.0, 1.0])
+    roots_mod._root_clusters([1j, 2.0, 1.0 - 1j])
     zero_set(p)
     zero_set(real)
     verify_real_case(real)
@@ -634,6 +672,19 @@ def test_nearly_real_zero_set_residuals_see_the_imaginary_parts():
         assert res == roots_mod._sphere_residual(p, s.x, s.y)
 
 
+def test_nearly_real_zero_set_checks_the_residual_of_p():
+    # imaginary parts within the is_real tolerance can be the whole of a
+    # tiny p: at -1, the root of its real part, |P(-1)| is 3e-13
+    p = QPoly([Quaternion(1e-13, 0.0, 3e-13, 0.0), 1e-13])
+    assert p.is_real()
+    with pytest.raises(NumericalBreakdown,
+                       match="root of the real part is not a zero of p") as ex:
+        zero_set(p)
+    info = ex.value.info
+    assert (info["x"], info["y"]) == (-1.0, 0.0)
+    assert info["residual"] == roots_mod._sphere_residual(p, -1.0, 0.0) > 0.5
+
+
 def test_zero_set_evaluates_each_candidate_sphere_once(monkeypatch):
     # the float evaluation of (A, B) at each candidate (x, y); the point
     # residual of an isolated zero is taken elsewhere, at its own sphere
@@ -645,14 +696,14 @@ def test_zero_set_evaluates_each_candidate_sphere_once(monkeypatch):
         return parts(p_parts, x, y)
 
     monkeypatch.setattr(roots_mod, "_sphere_parts", counted)
-    ring = characteristic_poly(TwoSphere(1.0, 2.0))
-    ring2 = characteristic_poly(TwoSphere(-0.5, 0.75))
+    # q^2 - 2x q + x^2 + y^2 vanishes on the sphere [x + Iy]
+    ring = QPoly([5.0, -2.0, 1.0])
+    ring2 = QPoly([0.8125, 1.0, 1.0])
     lin = QPoly([-(I + 0.5 * J + 0.3), Quaternion(1)])
     for p in (ring * lin, ring * ring2 * lin, ring * lin * lin):
         calls.clear()
         zs = zero_set(p)
-        candidates = [cl for cl in complex_roots(
-            p.symmetrize().real_coeffs()) if cl.center.imag > 0]
+        candidates = upper_centers(p.symmetrize().real_coeffs())
         assert zs.spheres
         assert len(calls) == len(candidates)
 
@@ -697,20 +748,21 @@ def test_simple_roots_build_only_the_first_derivative(monkeypatch):
     real = np.real(poly_from_roots([1.0, -2.0, 3 + 1j, 3 - 1j, 0.5]))
     for coeffs in (real.tolist(), poly_from_roots([1.0, 2j, -3.0, 1 - 1j])):
         made.clear()
-        out = complex_roots(coeffs)
-        assert all(cl.multiplicity == 1 for cl in out)
+        out, _ = roots_mod._root_clusters(coeffs)
+        assert all(m == 1 for _, m, _ in out)
         assert len(made) == 1 and len(made[0]._built) <= 2
 
 
 # ---------------------------------------------------------------------------
-# golden pin of complex_roots
+# golden pin of _root_clusters
 #
 # tests/data/complex_roots_golden.json holds, for a seeded corpus of root
-# finding inputs, the repr of each complex_roots result or the exception it
-# raised. The inputs are stored with the results, so the pin does not move
-# when the code that built them does. A deliberate change of the results is
-# recorded by running `PYTHONPATH=src python tests/test_roots.py`, which
-# rebuilds the corpus and writes the file again.
+# finding inputs, the repr of each full root list (all_roots) or the
+# exception that _root_clusters raised. The inputs are stored with the
+# results, so the pin does not move when the code that built them does.
+# A deliberate change of the results is recorded by running
+# `PYTHONPATH=src python tests/test_roots.py`, which rebuilds the corpus
+# and writes the file again.
 
 GOLDEN_ROOTS = (Path(__file__).parent / "data"
                 / "complex_roots_golden.json")
@@ -718,7 +770,7 @@ GOLDEN_ROOTS = (Path(__file__).parent / "data"
 
 def _golden_outcome(coeffs) -> str:
     try:
-        return repr(complex_roots(coeffs))
+        return repr(all_roots(coeffs))
     except (NumericalBreakdown, ValueError) as ex:
         return f"{type(ex).__name__}: {ex}"
 
@@ -874,11 +926,10 @@ def float_classification_cases():
     for _ in range(30):
         p = random_factored(rng, rng.randint(2, 5))
         for poly in (p, p.derivative(), p * p.conjugate() * p):
-            for cl in complex_roots(poly.symmetrize().real_coeffs()):
-                if cl.center.imag > 0:
-                    s = TwoSphere(cl.center.real, cl.center.imag)
-                    cases.append((poly, s))
-                    cases.append((poly, TwoSphere(s.x + 0.5, s.y)))
+            for z in upper_centers(poly.symmetrize().real_coeffs()):
+                s = TwoSphere(z.real, z.imag)
+                cases.append((poly, s))
+                cases.append((poly, TwoSphere(s.x + 0.5, s.y)))
     for _ in range(60):
         # P(q) = (q - alpha) c: K = (alpha - x) / y = t u
         x, y = rng.uniform(-3, 3), rng.uniform(0.1, 3)
@@ -893,10 +944,8 @@ def float_classification_cases():
         for _ in range(10):
             p = random_factored(rng, rng.randint(2, 4))
             scaled = QPoly([size * a for a in p.coeffs])
-            for cl in complex_roots(p.symmetrize().real_coeffs()):
-                if cl.center.imag > 0:
-                    cases.append((scaled, TwoSphere(cl.center.real,
-                                                    cl.center.imag)))
+            for z in upper_centers(p.symmetrize().real_coeffs()):
+                cases.append((scaled, TwoSphere(z.real, z.imag)))
     return cases
 
 
@@ -914,7 +963,6 @@ def test_float_classification_is_the_quaternion_one_bit_for_bit():
         want = outcome(classify_by_quaternions, p, s)
         parts = roots_mod._sphere_parts(p.parts, s.x, s.y)
         assert outcome(roots_mod._classify, p, s.x, s.y, parts, 1e-8) == want
-        assert outcome(classify_sphere, p, s) == want
         kinds[want.split(",")[0]] += 1
         if want.startswith("('isolated'"):
             pt = classify_by_quaternions(p, s)[1]
@@ -946,7 +994,7 @@ def test_float_classification_sees_both_sides_of_the_unit_test():
             alpha = Quaternion(x) + (t * y) * random_unit_imaginary(rng)
             c = Quaternion(*(rng.uniform(-2, 2) for _ in range(4)))
             lin = QPoly([-alpha * (size * c), size * c])
-            assert classify_sphere(lin, TwoSphere(x, y))[0] == kind
+            assert classify(lin, TwoSphere(x, y))[0] == kind
 
 
 def seeded_real_inputs():
@@ -971,35 +1019,30 @@ def seeded_real_inputs():
 
 def test_upper_half_core_is_the_closed_upper_half_of_complex_roots(
         monkeypatch):
+    # the full list is the mirror image of the closed upper half added to
+    # it; a breakdown names the first failing cluster of that list
     lower_named = 0
     for c in seeded_real_inputs():
         try:
-            full = complex_roots(c)
+            upper, real = roots_mod._root_clusters(c)
         except NumericalBreakdown:
             continue
-        upper, real = roots_mod._root_clusters(c)
         assert real
-        want = [(cl.center, cl.multiplicity, cl.residual) for cl in full
-                if cl.center.imag >= 0]
-        assert repr(upper) == repr(want)
-        assert repr(roots_mod._mirrored(upper)) == repr(
-            [(cl.center, cl.multiplicity, cl.residual) for cl in full])
-        # a residual bound between the residuals: both routes name the
-        # first failing cluster of the full list
-        levels = sorted({cl.residual for cl in full})
+        full = mirrored(upper)
+        assert repr([cl for cl in full if cl[0].imag >= 0]) == repr(upper)
+        # a residual bound between the residuals
+        levels = sorted({res for _, _, res in full})
         if len(levels) < 2:
             continue
         tau = levels[len(levels) // 2 - 1]
-        first = next(cl for cl in full if cl.residual > tau)
-        lower_named += first.center.imag < 0
+        z, m, res = next(cl for cl in full if cl[2] > tau)
+        lower_named += z.imag < 0
         monkeypatch.setattr(roots_mod, "TAU_ROOT", tau)
-        for route in (complex_roots, roots_mod._root_clusters):
-            with pytest.raises(NumericalBreakdown) as ex:
-                route(c)
-            assert str(ex.value) == "root residual above tolerance"
-            assert repr(ex.value.info) == repr(
-                {"center": first.center, "multiplicity": first.multiplicity,
-                 "residual": first.residual})
+        with pytest.raises(NumericalBreakdown) as ex:
+            roots_mod._root_clusters(c)
+        assert str(ex.value) == "root residual above tolerance"
+        assert repr(ex.value.info) == repr(
+            {"center": z, "multiplicity": m, "residual": res})
         monkeypatch.undo()
     assert lower_named >= 5
 
@@ -1175,7 +1218,7 @@ def reference_root_clusters(coeffs):
 
     found.sort(key=order)
     if any([res > roots_mod.TAU_ROOT for _, _, res in found]):
-        full = roots_mod._mirrored(found) if is_real else found
+        full = mirrored(found) if is_real else found
         z, m, res = next(cl for cl in full if cl[2] > roots_mod.TAU_ROOT)
         raise NumericalBreakdown(
             "root residual above tolerance",
@@ -1361,11 +1404,11 @@ def test_classification_holds_at_both_ends_of_the_float_range():
     # is scale-free: the same kind and the same point, bit for bit
     seen = Counter()
     for p, s in float_classification_cases()[:400]:
-        want = classify_sphere(p, s)
+        want = classify(p, s)
         for k in (600, -600):
             scaled = QPoly([Quaternion(*(math.ldexp(v, k) for v in c))
                             for c in zip(*p.parts)])
-            assert repr(classify_sphere(scaled, s)) == repr(want)
+            assert repr(classify(scaled, s)) == repr(want)
         seen[want[0]] += 1
     assert seen["isolated"] >= 20 and seen["not_a_zero"] >= 20
     assert seen["spherical"] >= 10

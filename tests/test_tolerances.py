@@ -1,5 +1,6 @@
 """Every tolerance lives in qlucas.tolerances: the other modules hold no
-small float literal and define none of its names."""
+small float literal and define none of its names, and each of its names
+is read by one of them."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,19 @@ def test_no_module_level_tolerance_name(path):
              if isinstance(t, ast.Name)
              and (t.id.startswith(PREFIXES) or t.id in names)]
     assert not found, f"{path.name}: define these in tolerances.py: {found}"
+
+
+def read_tolerances(path) -> set:
+    """The names a module imports from .tolerances and reads."""
+    tree = ast.parse(path.read_text())
+    imported = {a.asname or a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.module == "tolerances"
+                for a in n.names}
+    return imported & {n.id for n in ast.walk(tree)
+                       if isinstance(n, ast.Name)
+                       and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_tolerance_is_read_elsewhere():
+    read = set().union(*map(read_tolerances, MODULES))
+    assert not home_names() - read, sorted(home_names() - read)
