@@ -56,7 +56,7 @@ def fejer_riesz_factor(q_coeffs) -> MFactor:
     pair at full multiplicity and half of every (necessarily even) real
     root multiplicity, scaled by sqrt of the leading coefficient. Those
     are the roots on the closed upper half-plane, the ones _root_clusters
-    gives for real coefficients, sorted by real then imaginary part. Odd
+    gives, sorted by real then imaginary part. Odd
     degree, a nonpositive leading coefficient, or an odd real root
     multiplicity all mean Q takes negative values and there is no such
     factorization.
@@ -88,7 +88,7 @@ def fejer_riesz_factor(q_coeffs) -> MFactor:
             "infinity", leading=lc)
 
     roots_m: list[complex] = []
-    for z, mult, _ in _root_clusters(q)[0]:
+    for z, mult, _ in _root_clusters(q):
         if z.imag > 0:
             roots_m.extend([z] * mult)
         else:

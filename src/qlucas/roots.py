@@ -1,6 +1,6 @@
-"""Complex root extraction with multiplicities, and classification of the
-zeros of a quaternionic polynomial into real points, isolated points, and
-whole 2-spheres."""
+"""Roots of real polynomials with multiplicities, and classification of
+the zeros of a quaternionic polynomial into real points, isolated points,
+and whole 2-spheres."""
 
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ from numpy.linalg._umath_linalg import eigvals as _lapack_eigvals
 from .quaternion import Quaternion, TwoSphere, _inverse_parts, _norm3, _norm4
 from .qpoly import (QPoly, _kept, _magnitude_scale, _sphere_parts,
                     _symmetrized, _value, horner, horner_scale)
-from .tolerances import (CLUSTER_RADII, TAU_CLUSTER, TAU_COEFF_REAL,
-                         TAU_IM_SNAP, TAU_REACH, TAU_ROOT,
-                         TAU_UNIT, TAU_VALIDATE, TAU_ZERO, ULP)
+from .tolerances import (CLUSTER_RADII, TAU_CLUSTER, TAU_IM_SNAP,
+                         TAU_REACH, TAU_ROOT, TAU_UNIT, TAU_VALIDATE,
+                         TAU_ZERO, ULP)
 
 _NEWTON_STEPS = 80
 
@@ -32,46 +32,35 @@ class NumericalBreakdown(RuntimeError):
 
 
 class _derivs:
-    """All derivatives as lists of Python numbers, which Horner's rule
-    runs through faster than numpy scalars, then [0j] at every higher
-    order; each is built on first use (simple roots need order 0 only,
-    as newton_pass forms d' itself). A real polynomial comes as a list
-    of floats, and its derivatives up to the degree are float lists
-    too: n * c is the real part of complex(n) * complex(c, 0.0) bit for
-    bit, whose imaginary part is 0.0."""
+    """All derivatives of a real polynomial as lists of Python floats,
+    which Horner's rule runs through faster than numpy scalars; each is
+    built on first use (simple roots need order 0 only, as newton_pass
+    forms d' itself). The orders asked for stay below the degree: a
+    cluster of multiplicity m <= degree needs them up to m - 1."""
 
     def __init__(self, coeffs):
         self._built = [coeffs]
-        self._top = max(len(coeffs), 1)  # the order of the final [0j]
         self._passes = {}
 
     def __getitem__(self, order: int) -> list:
-        order = min(order, self._top)
         built = self._built
         while len(built) <= order:
-            prev = built[-1]
-            built.append([n * c for n, c in enumerate(prev) if n >= 1]
-                         if len(prev) > 1 else [0j])
+            built.append([n * c for n, c in enumerate(built[-1]) if n >= 1])
         return built[order]
 
     def newton_pass(self, order: int):
         """(start, pairs, d[0]) for _newton on the order-th derivative d,
         built once per order: the pairs (d[k], d'[k - 1]) for
-        k = n, ..., 1, and the accumulators (f, f') a pass starts from.
-        A float list starts from its leading pair and takes the rest:
-        0 * z + c is c for a float c != 0, and at a complex z it is
-        complex(c, 0.0), the operand that c becomes in complex
-        arithmetic. A complex list starts from (0j, 0j) and takes every
-        pair: there 0j * z + c can differ from c in the sign of a zero
-        part."""
+        k = n, ..., 1, the leading one the accumulators (f, f') a pass
+        starts from: 0 * z + c is c for a float c != 0, and at a complex
+        z it is complex(c, 0.0), the operand that c becomes in complex
+        arithmetic."""
         got = self._passes.get(order)
         if got is None:
             d = self[order]
             # d'[k - 1] = k * d[k], as __getitem__ builds it
             pairs = [(d[k], k * d[k]) for k in range(len(d) - 1, 0, -1)]
-            got = self._passes[order] = (
-                (pairs[0], pairs[1:], d[0]) if type(d[0]) is float and pairs
-                else ((0j, 0j), pairs, d[0]))
+            got = self._passes[order] = (pairs[0], pairs[1:], d[0])
         return got
 
 
@@ -87,18 +76,10 @@ def _newton(derivs, order: int, z0: complex) -> complex:
     operations in horner's order: the pass takes d[k] with d'[k - 1]
     for k = n, ..., 1, then d[0].
 
-    On a real polynomial (float lists) a start with imaginary part
-    exactly 0 is replaced by its real part, and the iteration runs in
-    float arithmetic and returns a float. The complex iteration would
-    give the same bits as the real parts: CPython's complex arithmetic
-    turns a float operand c into complex(c, 0.0), so every value keeps
-    an imaginary part of zero, which adds or subtracts only zeros to
-    the real parts, and the absolute values are those of the real
-    parts. The coefficients are never -0.0, so the sign of a zero does
-    not carry; an overflow to inf, which the complex products would
-    turn into NaN, is the exception."""
+    A start with imaginary part exactly 0 is replaced by its real part,
+    and the iteration runs in float arithmetic and returns a float."""
     start, pairs, d0 = derivs.newton_pass(order)
-    if not z0.imag and type(d0) is float:
+    if not z0.imag:
         z0 = z0.real
     z = z0
     last = math.inf
@@ -187,7 +168,7 @@ def _order(item):
     return (item[0].real, item[0].imag)
 
 
-def _agglomerate(items, derivs, level: int = 0):
+def _agglomerate(items, derivs, level: int):
     """Clusters [center, multiplicity] of items, [root, 1] sorted by
     _order, down the ladder of CLUSTER_RADII from the given level."""
     if len(items) == 1:
@@ -288,86 +269,62 @@ def _real_clusters(items, derivs):
     return out
 
 
-def _root_clusters(coeffs) -> tuple[list, bool]:
-    """All roots of a polynomial with ascending complex coefficients,
-    with multiplicities: (clusters, upper), the clusters as (center,
-    multiplicity, residual) tuples sorted by _order. Companion-matrix
-    eigenvalues, agglomerative cluster merging (see CLUSTER_RADII), then
-    Newton polishing on the (multiplicity-1)-th derivative and the
-    residual at each center.
+def _root_clusters(coeffs: list[float]) -> list:
+    """All roots of a polynomial with ascending real coefficients, with
+    multiplicities, on the closed upper half-plane: the real ones and
+    the upper member of each conjugate pair, whose mirror image has the
+    same multiplicity and residual, as (center, multiplicity, residual)
+    tuples sorted by _order. Companion-matrix eigenvalues, agglomerative
+    cluster merging (see CLUSTER_RADII), then Newton polishing on the
+    (multiplicity-1)-th derivative and the residual at each center.
 
     Real coefficients make the roots conjugate-symmetric, and Horner's
     rule commutes exactly with conjugation, so the work on one
     half-plane fixes the other. LAPACK's real xGEEV lists each pair
     x +- iy as adjacent exact conjugates, upper first (_one_per_pair);
     only the real roots and the upper members are clustered
-    (_real_clusters), validated and polished. upper is then True and the
-    clusters cover the closed upper half-plane, the real ones and the
-    upper member of each conjugate pair, whose mirror image has the same
-    multiplicity and residual. Centers within TAU_IM_SNAP of the axis,
-    before or after polishing, are put on it.
+    (_real_clusters), validated and polished. Centers within TAU_IM_SNAP
+    of the axis, before or after polishing, are put on it.
 
-    The magnitudes of the coefficients are taken once; the trim, the
-    realness test and the residual scale read them. Real coefficients
-    stay a list of floats, which the derivatives, Newton, validation and
-    the residual run on: a complex operand meets a float c as
-    complex(c, 0.0), so the bits are those of a complex list. A real
-    root polishes in float arithmetic (_newton) and its residual is the
-    float Horner value. Coefficients real only within TAU_COEFF_REAL
-    lose their imaginary parts, and the scale then takes the magnitudes
-    of the real parts."""
-    c = coeffs.tolist() if isinstance(coeffs, np.ndarray) else list(coeffs)
+    Each coefficient is read as a + 0.0, a float that is never -0.0.
+    Their magnitudes are taken once; the trim and the residual scale
+    read them. The derivatives, Newton, validation and the residual run
+    on the float list. A real root polishes in float arithmetic
+    (_newton) and its residual is the float Horner value."""
+    c = [a + 0.0 for a in coeffs]
     mags = list(map(abs, c))
-    # a finite magnitude has finite parts; an infinite one may be the
-    # overflow of a finite complex coefficient
-    if not all(map(math.isfinite, mags)) and not all(map(cmath.isfinite, c)):
-        n, a = next((n, a) for n, a in enumerate(c) if not cmath.isfinite(a))
+    if not all(map(math.isfinite, mags)):
+        n, a = next((n, a) for n, a in enumerate(c) if not math.isfinite(a))
         raise ValueError(f"coefficient {n} is not finite: {a!r}")
     deg = _kept(mags) - 1
     if deg < 1:
         raise ValueError("root finding needs degree >= 1 after trimming")
     del c[deg + 1:], mags[deg + 1:]
-    imags = [a.imag for a in c]
-    is_real = not any(imags) or (max(map(abs, imags))
-                                 <= TAU_COEFF_REAL * max(mags))
-    if is_real:
-        c = [a.real + 0.0 for a in c]
-        if any(imags):
-            mags = list(map(abs, c))
-    else:
-        c = list(map(complex, c))
     derivs = _derivs(c)
 
     def residual(z):
         return abs(horner(c, z)) / _magnitude_scale(mags, abs(z))
 
     found = []
-    if is_real:
-        total = 0
-        raw = _one_per_pair(_eigen_roots(c))
-        items = sorted(([z, 1] for z in raw), key=_order)
-        for z, m in _real_clusters(items, derivs):
-            if _on_axis(z):
-                x = _newton(derivs, m - 1, z).real
-                found.append((complex(x, 0.0), m, residual(x)))
-                total += m
-                continue
-            z = _newton(derivs, m - 1, z)
-            total += 2 * m
-            if _on_axis(z):
-                x = z.real
-                res = residual(x)
-                z = complex(x, 0.0)
-                found += [(z, m, res), (z, m, res)]
-                continue
-            res = residual(z)
-            found.append((z if z.imag > 0 else z.conjugate(), m, res))
-    else:
-        items = sorted(([z, 1] for z in _eigen_roots(c)), key=_order)
-        for z, m in _agglomerate(items, derivs):
-            z = _newton(derivs, m - 1, z)
-            found.append((z, m, residual(z)))
-        total = sum([m for _, m, _ in found])
+    total = 0
+    raw = _one_per_pair(_eigen_roots(c))
+    items = sorted(([z, 1] for z in raw), key=_order)
+    for z, m in _real_clusters(items, derivs):
+        if _on_axis(z):
+            x = _newton(derivs, m - 1, z).real
+            found.append((complex(x, 0.0), m, residual(x)))
+            total += m
+            continue
+        z = _newton(derivs, m - 1, z)
+        total += 2 * m
+        if _on_axis(z):
+            x = z.real
+            res = residual(x)
+            z = complex(x, 0.0)
+            found += [(z, m, res), (z, m, res)]
+            continue
+        res = residual(z)
+        found.append((z if z.imag > 0 else z.conjugate(), m, res))
 
     found.sort(key=_order)
     failing = [cl for cl in found if cl[2] > TAU_ROOT]
@@ -375,7 +332,7 @@ def _root_clusters(coeffs) -> tuple[list, bool]:
         # a conjugate pair shares its residual; name the failing root
         # first in _order, the lower member of a pair; a real center is
         # not conjugated, which would give its imaginary part as -0.0
-        z, m, res = min([(z.conjugate() if is_real and z.imag else z, m, res)
+        z, m, res = min([(z.conjugate() if z.imag else z, m, res)
                          for z, m, res in failing], key=_order)
         raise NumericalBreakdown(
             "root residual above tolerance",
@@ -383,7 +340,7 @@ def _root_clusters(coeffs) -> tuple[list, bool]:
     if total != deg:
         raise NumericalBreakdown("multiplicities do not sum to the degree",
                                  degree=deg, found=total)
-    return found, is_real
+    return found
 
 
 @functools.lru_cache(maxsize=32)
@@ -401,7 +358,8 @@ def _eigen_roots(c: list) -> list[complex]:
     wrapper costs more than LAPACK on small matrices; its two checks,
     non-finite entries and non-convergence (NaN output), are kept. A
     real companion row is divided out in Python floats, the same IEEE
-    operations as numpy's, into a copy of _subdiagonal(n)."""
+    operations as numpy's, into a copy of _subdiagonal(n). A complex
+    list (gauss_lucas._slice_critical) takes the complex companion."""
     k = 0
     while c[k] == 0:
         k += 1
@@ -579,7 +537,7 @@ def zero_set(p: QPoly, tau_zero: float = TAU_ZERO) -> ZeroSet:
     if p.is_real():
         return _zero_set_real(p, tau_zero)
 
-    clusters, _ = _root_clusters(_symmetrized(p.parts))
+    clusters = _root_clusters(_symmetrized(p.parts))
 
     isolated: list[IsolatedZero] = []
     spheres: list[SphereZero] = []
@@ -624,9 +582,10 @@ def _zero_set_real(p: QPoly, tau_zero: float) -> ZeroSet:
     """Zeros of a real p from the roots of its real part. For an exactly
     real p the cluster residuals are its sphere residuals, up to an ulp
     (abs of a complex rounds unlike sqrt(u^2 + v^2)); imaginary parts
-    within the is_real tolerance need _sphere_residual, which must then
-    be within tau_zero: they can be the whole of a tiny p."""
-    clusters, _ = _root_clusters(p.real_coeffs())
+    within the is_real tolerance need _sphere_residual. Either must be
+    within tau_zero, which can be tighter than the TAU_ROOT of the
+    clusters, and the imaginary parts can be the whole of a tiny p."""
+    clusters = _root_clusters(p.real_coeffs())
     exact = not any(map(any, p.parts[1:]))
     isolated: list[IsolatedZero] = []
     spheres: list[SphereZero] = []
@@ -634,10 +593,10 @@ def _zero_set_real(p: QPoly, tau_zero: float) -> ZeroSet:
         x, y = z.real, z.imag
         if not exact:
             res = _sphere_residual(p, x, y)
-            if res > tau_zero:
-                raise NumericalBreakdown(
-                    "root of the real part is not a zero of p",
-                    x=x, y=y, residual=res)
+        if res > tau_zero:
+            raise NumericalBreakdown(
+                "root of the real part is not a zero of p",
+                x=x, y=y, residual=res)
         if y == 0:
             isolated.append(IsolatedZero(Quaternion(x), m, res))
         else:

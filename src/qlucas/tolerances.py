@@ -43,8 +43,8 @@ TAU_STAR_ZERO = 1e-10
 # ---------------------------------------------------------------------------
 # roots and zero sets
 
-# complex coefficients are real when every |Im a| is within this times
-# max |a| (roots._root_clusters, fejer_riesz_factor)
+# fejer_riesz_factor takes complex coefficients as real when every |Im a|
+# is within this times max |a|
 TAU_COEFF_REAL = 1e-13
 # base cluster radius: roots within this relative distance are merged
 # without validation
@@ -57,10 +57,10 @@ TAU_CLUSTER = 1e-6
 # hypothesized multiplicity must vanish at the polished center within
 # TAU_VALIDATE of their magnitude bound. Two genuinely distinct roots
 # fail that test unless they are within ~TAU_CLUSTER of each other, in
-# which case merging is the contract anyway. A real polynomial runs the
-# ladder on the closed upper half-plane only (roots._real_clusters): a
-# component there that links to its own mirror at the first radius,
-# |u - conj v| within it for some u, v, runs it conjugate-closed.
+# which case merging is the contract anyway. The ladder runs on the
+# closed upper half-plane only (roots._real_clusters): a component there
+# that links to its own mirror at the first radius, |u - conj v| within
+# it for some u, v, runs it conjugate-closed.
 CLUSTER_RADII = (2e-2, 2e-3, 2e-4, 2e-5)
 TAU_VALIDATE = 1e-12
 # the early stop of the single-linkage scan is widened by this relative

@@ -13,7 +13,7 @@ from qlucas.factorization import (
 )
 from qlucas.qpoly import QPoly, horner, restrict_to_slice
 from qlucas.quaternion import I, J, Quaternion, random_unit_imaginary
-from qlucas.roots import NumericalBreakdown, _root_clusters
+from qlucas.roots import NumericalBreakdown, _eigen_roots, _root_clusters
 
 
 def hermitian_square(p1, p2=()):
@@ -70,10 +70,8 @@ def test_factor_roots_live_in_the_closed_upper_half_plane():
         m = fejer_riesz_factor(q)
         assert m.residual <= 1e-8
         if m.degree >= 1:
-            clusters, upper = _root_clusters(list(m.m_coeffs))
-            for z, _, _ in clusters:
-                # a real M also has the mirror image of each root
-                assert (abs(z.imag) if upper else -z.imag) <= 1e-7
+            for z in _eigen_roots(list(m.m_coeffs)):
+                assert z.imag >= -1e-7
 
 
 def test_factor_product_reconstructs_input():
@@ -209,7 +207,7 @@ def numpy_slice_symmetrization(sp):
 def numpy_m_coeffs(q):
     q = np.asarray(q, dtype=float)
     roots = []
-    for z, m, _ in _root_clusters(q)[0]:
+    for z, m, _ in _root_clusters(q.tolist()):
         if z.imag > 0:
             roots += [z] * m
         elif z.imag == 0:
@@ -331,7 +329,7 @@ def fejer_riesz_from_the_full_list(q):
     root list, the closed upper half of _root_clusters with the mirror
     image of each pair; q is real, trimmed, of even degree with a
     positive leading coefficient."""
-    upper, _ = _root_clusters(q)
+    upper = _root_clusters(q)
     full = sorted(upper + [(z.conjugate(), m, r) for z, m, r in upper
                            if z.imag], key=lambda cl: (cl[0].real, cl[0].imag))
     roots_m = []
