@@ -1,8 +1,8 @@
 """Spectral factorization of nonnegative real-coefficient polynomials
 and the sampled check of the slice product identity. The kernels run on
-lists of Python complex numbers, with one convolution for every product;
-only the ndarray results of slice_symmetrization and product_coeffs are
-numpy."""
+lists of Python complex numbers, with one convolution for every product,
+and slice_symmetrization takes P^s from qpoly._symmetrized; only the
+ndarray results of slice_symmetrization and product_coeffs are numpy."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .qpoly import SlicePoly, _cpoly_der, horner, trim_rel
+from .qpoly import SlicePoly, _cpoly_der, _symmetrized, horner, trim_rel
 from .roots import NumericalBreakdown, _root_clusters
 from .tolerances import TAU_COEFF_REAL, TAU_FACTOR, TAU_L_IDENTITY
 
@@ -61,8 +61,6 @@ def fejer_riesz_factor(q_coeffs) -> MFactor:
     multiplicity all mean Q takes negative values and there is no such
     factorization.
     """
-    if isinstance(q_coeffs, np.ndarray):
-        q_coeffs = q_coeffs.tolist()
     q = [complex(c) for c in q_coeffs]
     if not any(q):
         raise ValueError("cannot factor the zero polynomial")
@@ -152,12 +150,11 @@ def check_l_identity(p1, p2, m_coeffs, z_samples,
 
 def slice_symmetrization(sp: SlicePoly) -> np.ndarray:
     """Real coefficients of P1 conj-reflect(P1) + P2 conj-reflect(P2),
-    the restriction of the symmetrization to the slice."""
-    out = [0.0]
-    for p in (sp.p1, sp.p2):
-        if any(p):
-            prod = _mul(p, [c.conjugate() for c in p])
-            out += [0.0] * (len(prod) - len(out))
-            for n, c in enumerate(prod):
-                out[n] += c.real
-    return np.array(out)
+    the restriction of the symmetrization to the slice. That is P^s
+    itself: (Re P1, Im P1, Re P2, Im P2) are the parts of P in the
+    orthonormal basis {1, I, J, IJ}, and _symmetrized takes only inner
+    products of coefficients, which no orthonormal basis changes."""
+    return np.array(_symmetrized([[c.real for c in sp.p1],
+                                  [c.imag for c in sp.p1],
+                                  [c.real for c in sp.p2],
+                                  [c.imag for c in sp.p2]]))

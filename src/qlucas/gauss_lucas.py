@@ -131,7 +131,9 @@ def verify_gauss_lucas(p: QPoly, eps_hull: float = EPS_HULL,
 def verify_real_case(p: QPoly, eps_hull: float = EPS_HULL,
                      tau_zero: float = TAU_ZERO) -> GLReport:
     """Variant for real-coefficient p: the hull is taken over the zero
-    set of p itself, matching the classical statement.
+    set of p itself, matching the classical statement. p is real when
+    every imaginary part is exactly zero (QPoly.is_real); any other p,
+    however nearly real, is a ValueError.
 
     As in verify_gauss_lucas, the zero set of p' is found first and p is
     rooted only after it succeeds. When both zero sets would break down,

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .quaternion import (Quaternion, _coerce, _norm3, _norm4, _parts,
                          orthogonal_unit)
-from .tolerances import TAU_REAL, TAU_STAR_ZERO, TAU_TRIM_REL
+from .tolerances import TAU_STAR_ZERO, TAU_TRIM_REL
 
 
 class QPoly:
@@ -146,17 +146,11 @@ class QPoly:
                     for x, y, z in zip(*self.parts[1:])), default=0.0)
 
     def is_real(self) -> bool:
-        """max_imag_norm() <= TAU_REAL (1 + max_coeff_norm()), decided at
-        the first imaginary norm above the bound; exactly real
-        coefficients, the common case, need no norms."""
+        """True when every imaginary part of every coefficient is zero
+        (-0.0 included). The test reads the bits and takes no tolerance,
+        so P and 2^m P are real together."""
         _, x, y, z = self.parts
-        if not (any(x) or any(y) or any(z)):
-            return True
-        bound = TAU_REAL * (1.0 + self.max_coeff_norm())
-        for a, b, c in zip(x, y, z):
-            if math.sqrt(a * a + b * b + c * c) > bound:
-                return False
-        return True
+        return not (any(x) or any(y) or any(z))
 
     def real_coeffs(self) -> list[float]:
         return list(self.parts[0])

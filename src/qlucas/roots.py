@@ -520,9 +520,11 @@ def zero_set(p: QPoly, tau_zero: float = TAU_ZERO) -> ZeroSet:
     zeros (half the P^s multiplicity), conjugate pairs are candidate
     spheres, classified by _classify. Only the closed upper
     half-plane of the roots is read (_root_clusters). Real-coefficient
-    input skips the symmetrization: its own real roots and conjugate
-    pairs already are the real zeros and the (always spherical) zero
-    spheres.
+    input, every imaginary part exactly zero (QPoly.is_real), skips the
+    symmetrization: its own real roots and conjugate pairs already are
+    the real zeros and the (always spherical) zero spheres. Any nonzero
+    imaginary part, however small, takes the quaternionic route, so the
+    route of P is the route of 2^m P.
 
     Every decision on a sphere [x + Iy] runs on the eight floats of
     (A, B), P(x + Iy) = A + I B for every unit imaginary I, by the
@@ -579,20 +581,15 @@ def zero_set(p: QPoly, tau_zero: float = TAU_ZERO) -> ZeroSet:
 
 
 def _zero_set_real(p: QPoly, tau_zero: float) -> ZeroSet:
-    """Zeros of a real p from the roots of its real part. For an exactly
-    real p the cluster residuals are its sphere residuals, up to an ulp
-    (abs of a complex rounds unlike sqrt(u^2 + v^2)); imaginary parts
-    within the is_real tolerance need _sphere_residual. Either must be
+    """Zeros of a real p (QPoly.is_real) from the roots of its
+    coefficients. The cluster residuals are its sphere residuals, up to
+    an ulp (abs of a complex rounds unlike sqrt(u^2 + v^2)), and must be
     within tau_zero, which can be tighter than the TAU_ROOT of the
-    clusters, and the imaginary parts can be the whole of a tiny p."""
-    clusters = _root_clusters(p.real_coeffs())
-    exact = not any(map(any, p.parts[1:]))
+    clusters."""
     isolated: list[IsolatedZero] = []
     spheres: list[SphereZero] = []
-    for z, m, res in clusters:
+    for z, m, res in _root_clusters(p.real_coeffs()):
         x, y = z.real, z.imag
-        if not exact:
-            res = _sphere_residual(p, x, y)
         if res > tau_zero:
             raise NumericalBreakdown(
                 "root of the real part is not a zero of p",

@@ -29,8 +29,6 @@ TAU_DRAW = 1e-6
 
 # trailing coefficients of norm at most this times the largest are trimmed
 TAU_TRIM_REL = 1e-12
-# QPoly.is_real: every imaginary norm within this times 1 + max|a_n|
-TAU_REAL = 1e-12
 # sqrt(w^2 + x^2 + y^2 + z^2) is a norm correct to rounding when the sum
 # of squares is finite and at least this; below it the squares lose
 # digits to underflow, and math.hypot takes over

@@ -63,6 +63,10 @@ def test_verify_rejects_low_degree():
 def test_verify_real_case_needs_real_coefficients():
     with pytest.raises(ValueError):
         verify_real_case(COUNTEREXAMPLE)
+    # realness is read from the bits: no imaginary part is small enough
+    with pytest.raises(ValueError):
+        verify_real_case(QPoly([1.0, Quaternion(-2.0, 0.0, 1e-300, 0.0),
+                                1.0]))
 
 
 def test_violating_instance_is_reported_honestly():
@@ -404,3 +408,35 @@ def test_breakdown_grid_stays_within_its_bounds():
                 counts[(d, r)] += 1
     for cell, bound in GRID_BREAKDOWN_BOUNDS.items():
         assert counts[cell] <= bound, (cell, counts[cell])
+
+
+# ---------------------------------------------------------------------------
+# exact scaling: P and 2^m P have the same zeros and critical points
+
+
+def _scaled(p, m):
+    return QPoly([Quaternion(*(math.ldexp(v, m) for v in c))
+                  for c in zip(*p.parts)])
+
+
+def _outcome(f, p):
+    try:
+        return repr(f(p))
+    except NumericalBreakdown as ex:
+        return repr((str(ex), ex.info))
+
+
+def test_reports_are_identical_under_power_of_two_scaling():
+    # 2^m P is exact while every squared part stays in the normal range,
+    # where _norm4 takes sqrt, so |m| <= 200 for these draws
+    cases = [(random_factored_poly(random.Random(f"42:{t}")),
+              verify_gauss_lucas) for t in range(300)]
+    cases += [(random_real_poly(random.Random(f"42:{t}")), verify_real_case)
+              for t in range(100)]
+    for p, verify in cases:
+        def report(r):
+            return verify(r, 1e-6)
+        want = (_outcome(report, p), _outcome(zero_set, p))
+        for m in (-200, -60, -30, 30, 60, 200):
+            q = _scaled(p, m)
+            assert (_outcome(report, q), _outcome(zero_set, q)) == want, m

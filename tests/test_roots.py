@@ -671,10 +671,10 @@ def test_real_zero_set_residuals_are_sphere_residuals(p):
 
 
 def test_nearly_real_zero_set_residuals_see_the_imaginary_parts():
-    # within the is_real tolerance, so zero_set takes the real route,
-    # but the residual must still be that of p, not of its real part
+    # imaginary parts of 1e-13 make p quaternionic, so zero_set roots
+    # P^s, and the residuals are those of p, not of its real part
     p = QPoly([2.0, Quaternion(-1.0, 3e-13, 0.0, -2e-13), 0.5, 1.0])
-    assert p.is_real()
+    assert not p.is_real()
     zs = zero_set(p)
     pairs = [(z.residual, TwoSphere(z.point.w, 0.0)) for z in zs.isolated]
     pairs += [(s.residual, s.sphere) for s in zs.spheres]
@@ -683,17 +683,19 @@ def test_nearly_real_zero_set_residuals_see_the_imaginary_parts():
         assert res == roots_mod._sphere_residual(p, s.x, s.y)
 
 
-def test_nearly_real_zero_set_checks_the_residual_of_p():
-    # imaginary parts within the is_real tolerance can be the whole of a
-    # tiny p: at -1, the root of its real part, |P(-1)| is 3e-13
+def test_tiny_nearly_real_p_has_its_true_zero():
+    # the imaginary parts are the whole of p at -1, the root of its real
+    # part: p = (q + 1) 1e-13 + 3e-13 j has the one zero -1 - 3j, and
+    # p' = 1e-13 none
     p = QPoly([Quaternion(1e-13, 0.0, 3e-13, 0.0), 1e-13])
-    assert p.is_real()
-    with pytest.raises(NumericalBreakdown,
-                       match="root of the real part is not a zero of p") as ex:
-        zero_set(p)
-    info = ex.value.info
-    assert (info["x"], info["y"]) == (-1.0, 0.0)
-    assert info["residual"] == roots_mod._sphere_residual(p, -1.0, 0.0) > 0.5
+    assert not p.is_real()
+    zs = zero_set(p)
+    assert zs.spheres == () and len(zs.isolated) == 1
+    z = zs.isolated[0]
+    assert z.multiplicity == 1
+    assert (z.point - Quaternion(-1.0, 0.0, -3.0, 0.0)).norm() <= 1e-12
+    cp = critical_points(p)
+    assert cp.isolated == () and cp.spheres == ()
 
 
 def test_real_zero_set_checks_the_residuals_against_tau_zero():
