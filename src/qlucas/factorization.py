@@ -12,9 +12,10 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .qpoly import SlicePoly, _cpoly_der, _symmetrized, horner, trim_rel
+from .qpoly import (SlicePoly, _derivative, _magnitude_scale, _symmetrized,
+                    horner, trim_rel)
 from .roots import NumericalBreakdown, _root_clusters
-from .tolerances import TAU_COEFF_REAL, TAU_FACTOR, TAU_L_IDENTITY
+from .tolerances import TAU_FACTOR, TAU_L_IDENTITY
 
 
 def _mul(a, b) -> list:
@@ -59,13 +60,13 @@ def fejer_riesz_factor(q_coeffs) -> MFactor:
     gives, sorted by real then imaginary part. Odd
     degree, a nonpositive leading coefficient, or an odd real root
     multiplicity all mean Q takes negative values and there is no such
-    factorization.
+    factorization. Q must be real from the bits: any nonzero imaginary
+    part, however small, is a ValueError.
     """
     q = [complex(c) for c in q_coeffs]
     if not any(q):
         raise ValueError("cannot factor the zero polynomial")
-    top = max(map(abs, q))
-    if max(abs(c.imag) for c in q) > TAU_COEFF_REAL * top:
+    if any(c.imag for c in q):
         raise ValueError("factorization input must have real coefficients")
     q = trim_rel([c.real for c in q])
 
@@ -124,25 +125,20 @@ def check_l_identity(p1, p2, m_coeffs, z_samples,
     sides are the derivative of Q.
     """
     p1, p2, m = ([complex(c) for c in a] for a in (p1, p2, m_coeffs))
-    d1, d2, dm = (list(_cpoly_der(a)) or [0j] for a in (p1, p2, m))
+    d1, d2, dm = (_derivative(a) or [0j] for a in (p1, p2, m))
     c1, c2, cm = ([c.conjugate() for c in a] for a in (p1, p2, m))
 
     def mag(coeffs, r):
-        base = max(1.0, r)
-        return sum(abs(c) * base ** n for n, c in enumerate(coeffs))
+        return _magnitude_scale(map(abs, coeffs), max(1.0, r))
 
-    scales = {}         # the scale depends on |z| only
     for z in z_samples:
         z = complex(z)
         lhs = z * (horner(d1, z) * horner(c1, z)
                    + horner(d2, z) * horner(c2, z))
         rhs = z * horner(dm, z) * horner(cm, z)
         r = abs(z)
-        scale = scales.get(r)
-        if scale is None:
-            scale = scales[r] = 1.0 + r * (mag(d1, r) * mag(p1, r)
-                                           + mag(d2, r) * mag(p2, r)
-                                           + mag(dm, r) * mag(m, r))
+        scale = 1.0 + r * (mag(d1, r) * mag(p1, r) + mag(d2, r) * mag(p2, r)
+                           + mag(dm, r) * mag(m, r))
         if abs(lhs - rhs) > rel_tol * scale:
             return False
     return True

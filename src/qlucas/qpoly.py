@@ -7,14 +7,12 @@ which agrees with pointwise multiplication only for real coefficients.
 Storage: `parts` holds the w, x, y and z parts of the coefficients as
 four tuples of floats (the four real component polynomials of P), and
 `norms` the coefficient norms, computed once at construction. The
-kernels run on these floats with no Hamilton product; `coeffs`, the
-public tuple of Quaternion values, is built only when a caller reads it.
-A float, int or complex coefficient is read into its parts without a
-Quaternion (quaternion._parts). When every imaginary part is zero, as
-for a real P and its derivative, the norms are the magnitudes of the
-real parts, which _norm4 would give bit for bit: sqrt(w * w) == |w| in
-binary floating point, and math.hypot(w, 0, 0, 0) == |w| outside the
-range of the square.
+kernels run on these floats: values by `horner` on each component
+polynomial, with one Hamilton product (quaternion._mul4) for I B, and
+derivatives by `_derivative` on each part. `coeffs`, the public tuple of
+Quaternion values, is built only when a caller reads it. A float, int or
+complex coefficient is read into its parts without a Quaternion
+(quaternion._parts).
 Tuples are built from lists: tuple(iterator) resizes, bloating free lists.
 """
 
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Sequence
 
-from .quaternion import (Quaternion, _coerce, _norm3, _norm4, _parts,
+from .quaternion import (Quaternion, _coerce, _mul4, _norm4, _parts,
                          orthogonal_unit)
 from .tolerances import TAU_STAR_ZERO, TAU_TRIM_REL
 
@@ -53,12 +51,9 @@ class QPoly:
         self._store(*(zip(*qs) if qs else ((), (), (), ())))
 
     def _store(self, w, x, y, z, norms=None) -> "QPoly":
-        """Trim by the norms unless given (they are then already trimmed).
-        With every imaginary part zero, the norms are the magnitudes of
-        the real parts, which _norm4 gives bit for bit."""
+        """Trim by the norms unless given (they are then already trimmed)."""
         if norms is None:
-            norms = (list(map(abs, w)) if not (any(x) or any(y) or any(z))
-                     else list(map(_norm4, w, x, y, z)))
+            norms = list(map(_norm4, w, x, y, z))
             norms = tuple(norms[:_kept(norms)])
         self.parts = tuple([tuple(c)[:len(norms)] for c in (w, x, y, z)])
         self.norms = norms
@@ -135,8 +130,7 @@ class QPoly:
         return _qpoly(out, *[(0.0,) * len(out)] * 3, tuple(map(abs, out)))
 
     def derivative(self) -> "QPoly":
-        return _qpoly(*([n * v for n, v in enumerate(c) if n >= 1]
-                        for c in self.parts))
+        return _qpoly(*map(_derivative, self.parts))
 
     def max_coeff_norm(self) -> float:
         return max(self.norms, default=0.0)
@@ -157,7 +151,7 @@ class QPoly:
 
     def eval_scale(self, qnorm: float) -> float:
         """scale(P, q) = sum |a_n| (1 + |q|)^n, the residual yardstick."""
-        return _magnitude_scale(self.norms, qnorm)
+        return _magnitude_scale(self.norms, 1.0 + qnorm)
 
     def to_json_dict(self) -> dict:
         return {"coeffs": [list(c) for c in zip(*self.parts)]}
@@ -214,12 +208,12 @@ def horner(coeffs: Sequence[complex], z: complex) -> complex:
 
 def horner_scale(coeffs, r: float) -> float:
     """sum |c_n| (1 + r)^n, which bounds the terms horner adds at |z| = r."""
-    return _magnitude_scale(map(abs, coeffs), r)
+    return _magnitude_scale(map(abs, coeffs), 1.0 + r)
 
 
-def _magnitude_scale(mags, r: float) -> float:
-    """horner_scale from the magnitudes |c_n|, when the caller has them."""
-    base = 1.0 + r
+def _magnitude_scale(mags, base: float) -> float:
+    """sum m_n base^n over the magnitudes m_n, the powers taken by
+    repeated multiplication; horner_scale passes base 1 + r."""
     s = 0.0
     p = 1.0
     for m in mags:
@@ -235,16 +229,11 @@ def _sphere_parts(parts, x: float, y: float) -> tuple[float, ...]:
     Representation formula (Gentili and Struppa, Adv. Math. 216, 2007):
     (x + I y)^n = Re z^n + I Im z^n with z = x + iy, so A and B hold the
     real and imaginary parts at z of the four real component polynomials
-    of P (the w, x, y and z parts of the coefficients). One Horner pass
-    with four complex accumulators; no Hamilton product.
+    of P (the w, x, y and z parts of the coefficients): horner of each
+    part at z, from 0j. No Hamilton product.
     """
     z = complex(x, y)
-    aw = ax = ay = az = 0j
-    for cw, cx, cy, cz in zip(*map(reversed, parts)):
-        aw = aw * z + cw
-        ax = ax * z + cx
-        ay = ay * z + cy
-        az = az * z + cz
+    aw, ax, ay, az = [horner(c, z) for c in parts]
     return (aw.real, ax.real, ay.real, az.real,
             aw.imag, ax.imag, ay.imag, az.imag)
 
@@ -252,17 +241,14 @@ def _sphere_parts(parts, x: float, y: float) -> tuple[float, ...]:
 def _value(parts, w: float, x: float, y: float,
            z: float) -> tuple[float, float, float, float]:
     """The parts of P(q), q = w + x i + y j + z k, from the parts of P:
-    A + I B with (A, B) = _sphere_parts(parts, w, |Im q|) and the Hamilton
-    product I B written out, I = Im q / |Im q|; A alone when q is real."""
-    r = _norm3(x, y, z)
+    A + I B with (A, B) = _sphere_parts(parts, w, |Im q|) and I B the
+    Hamilton product _mul4, I = Im q / |Im q|; A alone when q is real."""
+    r = _norm4(0.0, x, y, z)
     aw, ax, ay, az, bw, bx, by, bz = _sphere_parts(parts, w, r)
     if r == 0.0:
         return aw, ax, ay, az
-    ux, uy, uz = x / r, y / r, z / r
-    return (aw + (0.0 * bw - ux * bx - uy * by - uz * bz),
-            ax + (0.0 * bx + ux * bw + uy * bz - uz * by),
-            ay + (0.0 * by - ux * bz + uy * bw + uz * bx),
-            az + (0.0 * bz + ux * by - uy * bx + uz * bw))
+    iw, ix, iy, iz = _mul4(0.0, x / r, y / r, z / r, bw, bx, by, bz)
+    return aw + iw, ax + ix, ay + iy, az + iz
 
 
 def star_mul(p: QPoly, q: QPoly) -> QPoly:
@@ -291,12 +277,7 @@ def pointwise_star_eval(p: QPoly, q: QPoly, at: Quaternion) -> Quaternion:
     at = _coerce(at)
     v = p.evaluate(at)
     # threshold TAU_STAR_ZERO * (1 + sum |a_n| |at|^n)
-    s = 0.0
-    power = 1.0
-    r = at.norm()
-    for c in p.norms:
-        s += c * power
-        power *= r
+    s = _magnitude_scale(p.norms, at.norm())
     if v.norm() <= TAU_STAR_ZERO * (1.0 + s):
         return Quaternion()
     inner = v.inverse() * at * v
@@ -328,11 +309,13 @@ class SlicePoly:
 
     def derivative(self) -> "SlicePoly":
         return SlicePoly(self.unit_i, self.unit_j,
-                         _cpoly_der(self.p1), _cpoly_der(self.p2))
+                         tuple(_derivative(self.p1)),
+                         tuple(_derivative(self.p2)))
 
 
-def _cpoly_der(coeffs: Sequence[complex]) -> tuple[complex, ...]:
-    return tuple(n * c for n, c in enumerate(coeffs) if n >= 1)
+def _derivative(coeffs: Sequence) -> list:
+    """The ascending coefficients of the derivative, n c_n for n >= 1."""
+    return [n * c for n, c in enumerate(coeffs) if n >= 1]
 
 
 def restrict_to_slice(p: QPoly, unit: Quaternion) -> SlicePoly:

@@ -77,14 +77,8 @@ class Quaternion:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        aw, ax, ay, az = self.w, self.x, self.y, self.z
-        bw, bx, by, bz = other.w, other.x, other.y, other.z
-        return Quaternion(
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        )
+        return Quaternion(*_mul4(self.w, self.x, self.y, self.z,
+                                 other.w, other.x, other.y, other.z))
 
     def __rmul__(self, other):
         # reals commute with everything, so scalar * q == q * scalar
@@ -113,7 +107,7 @@ class Quaternion:
 
     def im_norm(self) -> float:
         """Norm of the vector part, computed as norm is."""
-        return _norm3(self.x, self.y, self.z)
+        return _norm4(0.0, self.x, self.y, self.z)
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
@@ -137,12 +131,13 @@ def _norm4(w: float, x: float, y: float, z: float) -> float:
     return math.hypot(w, x, y, z)
 
 
-def _norm3(x: float, y: float, z: float) -> float:
-    """The norm of the vector x i + y j + z k, computed as _norm4 is."""
-    s = x * x + y * y + z * z
-    if NORM_SQ_MIN <= s < math.inf:
-        return math.sqrt(s)
-    return math.hypot(x, y, z)
+def _mul4(aw: float, ax: float, ay: float, az: float, bw: float, bx: float,
+          by: float, bz: float) -> tuple[float, float, float, float]:
+    """The parts of the Hamilton product (aw, ax, ay, az)(bw, bx, by, bz)."""
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
 
 
 def _inverse_parts(w: float, x: float, y: float,

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg._umath_linalg import eigvals as _lapack_eigvals
 
-from .quaternion import Quaternion, TwoSphere, _inverse_parts, _norm3, _norm4
-from .qpoly import (QPoly, _kept, _magnitude_scale, _sphere_parts,
-                    _symmetrized, _value, horner, horner_scale)
+from .quaternion import Quaternion, TwoSphere, _inverse_parts, _mul4, _norm4
+from .qpoly import (QPoly, _derivative, _kept, _magnitude_scale,
+                    _sphere_parts, _symmetrized, _value, horner, horner_scale)
 from .tolerances import (CLUSTER_RADII, TAU_CLUSTER, TAU_IM_SNAP,
                          TAU_REACH, TAU_ROOT, TAU_UNIT, TAU_VALIDATE,
                          TAU_ZERO, ULP)
@@ -45,7 +45,7 @@ class _derivs:
     def __getitem__(self, order: int) -> list:
         built = self._built
         while len(built) <= order:
-            built.append([n * c for n, c in enumerate(built[-1]) if n >= 1])
+            built.append(_derivative(built[-1]))
         return built[order]
 
     def newton_pass(self, order: int):
@@ -58,7 +58,7 @@ class _derivs:
         got = self._passes.get(order)
         if got is None:
             d = self[order]
-            # d'[k - 1] = k * d[k], as __getitem__ builds it
+            # d'[k - 1] = k * d[k], as _derivative builds it
             pairs = [(d[k], k * d[k]) for k in range(len(d) - 1, 0, -1)]
             got = self._passes[order] = (pairs[0], pairs[1:], d[0])
         return got
@@ -138,8 +138,6 @@ def _components(items, radius_rel: float):
             lim = 1.0 + max(abs(zi), abs(zj))
             if abs(zi - zj) <= radius_rel * lim:
                 edges.append((i, j))
-    if not edges:
-        return [[it] for it in items]
     parent = list(range(n))
 
     def find(i):
@@ -249,12 +247,8 @@ def _real_clusters(items, derivs):
         left = z
     else:
         return items
-    comps = _components(items, radius)
-    if len(comps) == len(items) and not any(
-            it[0].imag and _mirror_linked([it], radius) for it in items):
-        return items
     out = []
-    for comp in comps:
+    for comp in _components(items, radius):
         if _mirror_linked(comp, radius):
             closed = sorted(comp + [[z.conjugate(), m] for z, m in comp
                                     if z.imag > 0], key=_order)
@@ -303,7 +297,7 @@ def _root_clusters(coeffs: list[float]) -> list:
     derivs = _derivs(c)
 
     def residual(z):
-        return abs(horner(c, z)) / _magnitude_scale(mags, abs(z))
+        return abs(horner(c, z)) / _magnitude_scale(mags, 1.0 + abs(z))
 
     found = []
     total = 0
@@ -438,8 +432,10 @@ class ZeroSet:
         return not self.isolated and not self.spheres
 
     def is_points_and_spheres(self) -> bool:
-        """True when every isolated zero is real (no off-axis points)."""
-        return all(z.point.im_norm() <= TAU_UNIT for z in self.isolated)
+        """True when every isolated zero is real: its imaginary parts are
+        exactly 0 (-0.0 included), with no tolerance."""
+        return not any(z.point.x or z.point.y or z.point.z
+                       for z in self.isolated)
 
     def max_modulus(self) -> float:
         vals = [z.point.norm() for z in self.isolated]
@@ -465,13 +461,12 @@ def _sphere_residual(p: QPoly, x: float, y: float, v=None) -> float:
     |A|^2 + |B|^2 - 2 <Im(B A^c), I>, so the maximum is
     sqrt(|A|^2 + |B|^2 + 2 |Im(B A^c)|), attained at
     I = -Im(B A^c) / |Im(B A^c)| (at every I when Im(B A^c) = 0).
+    B A^c is the Hamilton product _mul4, and |Im(B A^c)| its _norm4
+    with the real part set to 0.
     """
     aw, ax, ay, az, bw, bx, by, bz = v or _sphere_parts(p.parts, x, y)
-    # the vector part of the Hamilton product B A^c, A^c = (aw, cx, cy, cz)
-    cx, cy, cz = -ax, -ay, -az
-    cross = _norm3(bw * cx + bx * aw + by * cz - bz * cy,
-                   bw * cy - bx * cz + by * aw + bz * cx,
-                   bw * cz + bx * cy - by * cx + bz * aw)
+    _, cx, cy, cz = _mul4(bw, bx, by, bz, aw, -ax, -ay, -az)
+    cross = _norm4(0.0, cx, cy, cz)
     top = math.sqrt((aw * aw + ax * ax + ay * ay + az * az)
                     + (bw * bw + bx * bx + by * by + bz * bz) + 2.0 * cross)
     return top / p.eval_scale(math.hypot(x, y))
@@ -485,22 +480,20 @@ def _classify(p: QPoly, x: float, y: float, v, tau_zero: float):
     holds their eight floats (_sphere_parts), which zero_set then reuses
     for the residual. Both vanishing means the whole sphere is zeros;
     otherwise the only candidate zero is at K = -A B^{-1}, valid when K
-    is unit imaginary. K, the TAU_UNIT test of is_unit_imaginary and the
-    point x + K y take the IEEE operations of the Quaternion methods, in their
-    order; the point is the one Quaternion built. B^{-1} comes from
-    _inverse_parts, as in Quaternion.inverse, so it holds where |B|^2
-    leaves the float range."""
+    is unit imaginary. K is the Hamilton product _mul4 of A and B^{-1},
+    negated part by part; K, the TAU_UNIT test of is_unit_imaginary and
+    the point x + K y take the IEEE operations of the Quaternion methods,
+    in their order; the point is the one Quaternion built. B^{-1} comes
+    from _inverse_parts, as in Quaternion.inverse, so it holds where
+    |B|^2 leaves the float range."""
     aw, ax, ay, az, bw, bx, by, bz = v
     bound = tau_zero * p.eval_scale(math.hypot(x, y))
     nb = _norm4(bw, bx, by, bz)
     if _norm4(aw, ax, ay, az) <= bound and nb <= bound:
         return ("spherical", None)
     if nb > bound:
-        iw, ix, iy, iz = _inverse_parts(bw, bx, by, bz)
-        kw = -(aw * iw - ax * ix - ay * iy - az * iz)
-        kx = -(aw * ix + ax * iw + ay * iz - az * iy)
-        ky = -(aw * iy - ax * iz + ay * iw + az * ix)
-        kz = -(aw * iz + ax * iy - ay * ix + az * iw)
+        kw, kx, ky, kz = (-k for k in _mul4(aw, ax, ay, az,
+                                            *_inverse_parts(bw, bx, by, bz)))
         if (abs(kw) <= TAU_UNIT
                 and abs(_norm4(kw, kx, ky, kz) - 1.0) <= TAU_UNIT):
             return ("isolated", Quaternion(x, kx * y, ky * y, kz * y))

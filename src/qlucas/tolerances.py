@@ -41,9 +41,6 @@ TAU_STAR_ZERO = 1e-10
 # ---------------------------------------------------------------------------
 # roots and zero sets
 
-# fejer_riesz_factor takes complex coefficients as real when every |Im a|
-# is within this times max |a|
-TAU_COEFF_REAL = 1e-13
 # base cluster radius: roots within this relative distance are merged
 # without validation
 TAU_CLUSTER = 1e-6

