@@ -2,20 +2,23 @@
 and the sampled check of the slice product identity. The kernels run on
 lists of Python complex numbers, with one convolution for every product,
 and slice_symmetrization takes P^s from qpoly._symmetrized; only the
-ndarray results of slice_symmetrization and product_coeffs are numpy."""
+ndarray results of slice_symmetrization and product_coeffs are numpy,
+which those two import when called."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .qpoly import (SlicePoly, _derivative, _magnitude_scale, _symmetrized,
                     horner, trim_rel)
 from .roots import NumericalBreakdown, _root_clusters
 from .tolerances import TAU_FACTOR, TAU_L_IDENTITY
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _mul(a, b) -> list:
@@ -42,6 +45,7 @@ class MFactor:
         return tuple(c.conjugate() for c in self.m_coeffs)
 
     def product_coeffs(self) -> np.ndarray:
+        import numpy as np
         m = self.m_coeffs
         return np.array([c.real for c in _mul(m, [c.conjugate() for c in m])])
 
@@ -149,7 +153,9 @@ def slice_symmetrization(sp: SlicePoly) -> np.ndarray:
     the restriction of the symmetrization to the slice. That is P^s
     itself: (Re P1, Im P1, Re P2, Im P2) are the parts of P in the
     orthonormal basis {1, I, J, IJ}, and _symmetrized takes only inner
-    products of coefficients, which no orthonormal basis changes."""
+    products of coefficients, which no orthonormal basis changes.
+    Returned as an ndarray, so this imports numpy."""
+    import numpy as np
     return np.array(_symmetrized([[c.real for c in sp.p1],
                                   [c.imag for c in sp.p1],
                                   [c.real for c in sp.p2],

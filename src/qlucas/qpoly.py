@@ -135,10 +135,6 @@ class QPoly:
     def max_coeff_norm(self) -> float:
         return max(self.norms, default=0.0)
 
-    def max_imag_norm(self) -> float:
-        return max((math.sqrt(x * x + y * y + z * z)
-                    for x, y, z in zip(*self.parts[1:])), default=0.0)
-
     def is_real(self) -> bool:
         """True when every imaginary part of every coefficient is zero
         (-0.0 included). The test reads the bits and takes no tolerance,

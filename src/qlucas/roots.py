@@ -4,13 +4,11 @@ and whole 2-spheres."""
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.linalg._umath_linalg import eigvals as _lapack_eigvals
 
 from .quaternion import Quaternion, TwoSphere, _inverse_parts, _mul4, _norm4
 from .qpoly import (QPoly, _derivative, _kept, _magnitude_scale,
@@ -337,23 +335,21 @@ def _root_clusters(coeffs: list[float]) -> list:
     return found
 
 
-@functools.lru_cache(maxsize=32)
-def _subdiagonal(n: int) -> np.ndarray:
-    """The n x n real companion template, ones below the diagonal; it is
-    copied, never written."""
-    return np.eye(n, k=-1)
-
-
 def _eigen_roots(c: list) -> list[complex]:
     """np.roots(c[::-1]) for ascending c with c[-1] != 0, bit for bit
-    and without its fixed overhead: the same companion matrix's
-    eigenvalues, then one zero root per zero constant term. The LAPACK
-    gufunc behind np.linalg.eigvals (xGEEV) is called directly, as the
-    wrapper costs more than LAPACK on small matrices; its two checks,
-    non-finite entries and non-convergence (NaN output), are kept. A
-    real companion row is divided out in Python floats, the same IEEE
-    operations as numpy's, into a copy of _subdiagonal(n). A complex
-    list (gauss_lucas._slice_critical) takes the complex companion."""
+    and without its fixed overhead: the eigenvalues of the same
+    companion matrix, from the same LAPACK routine (xGEEV), then one
+    zero root per zero constant term. The two checks of the
+    np.linalg.eigvals wrapper are kept: a non-finite companion row and
+    non-convergence raise its LinAlgError.
+
+    A real list has its companion row divided out in Python floats,
+    the same IEEE operations as numpy's, and takes dgeev from the
+    OpenBLAS that numpy's wheel bundles (_bundled_dgeev), called through
+    ctypes on numpy's inputs (_bundled_eigvals): it imports numpy only
+    to raise. A complex list (gauss_lucas._slice_critical), or a numpy
+    that bundles no such library, takes numpy's gufunc instead
+    (_gufunc_eigvals)."""
     k = 0
     while c[k] == 0:
         k += 1
@@ -361,23 +357,149 @@ def _eigen_roots(c: list) -> list[complex]:
     if n == 0:
         return [0j] * k
     lead = c[-1]
-    with np.errstate(all="ignore"):
-        if isinstance(lead, complex):
-            a = np.eye(n, k=-1, dtype=complex)
-            a[0] = -np.array(c[k:-1][::-1]) / lead
-            finite = np.isfinite(a[0]).all()
-        else:
-            row = [-v / lead for v in reversed(c[k:-1])]
-            finite = all(map(math.isfinite, row))
-            a = _subdiagonal(n).copy()
-            a[0] = row
-        if not finite:
-            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-        sig = "D->D" if a.dtype.kind == "c" else "d->D"
-        out = _lapack_eigvals(a, signature=sig).tolist()
-    if any(map(cmath.isnan, out)):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if isinstance(lead, complex):
+        out = _gufunc_eigvals(c, k, n, None)
+    else:
+        row = [-v / lead for v in reversed(c[k:-1])]
+        if not all(map(math.isfinite, row)):
+            raise _linalg_error("Array must not contain infs or NaNs")
+        dgeev = _bundled_dgeev()
+        out = (_gufunc_eigvals(c, k, n, row) if dgeev is None
+               else _bundled_eigvals(dgeev, row))
     return out + [0j] * k
+
+
+def _linalg_error(message: str) -> Exception:
+    from numpy.linalg import LinAlgError
+    return LinAlgError(message)
+
+
+@functools.cache
+def _bundled_dgeev():
+    """dgeev of the OpenBLAS in numpy's wheel (numpy.libs, symbol
+    scipy_dgeev_64_, 64-bit integers), the routine np.linalg.eigvals
+    calls, or None when that library or symbol is missing. It is found
+    without importing numpy and loaded on the first call, so importing
+    qlucas loads neither numpy nor OpenBLAS and starts no OpenBLAS
+    thread."""
+    import ctypes
+    import importlib.util
+    spec = importlib.util.find_spec("numpy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    libs = os.path.join(os.path.dirname(spec.submodule_search_locations[0]),
+                        "numpy.libs")
+    try:
+        names = sorted(os.listdir(libs))
+    except OSError:
+        return None
+    for name in names:
+        if name.startswith("libscipy_openblas64_") and name.endswith(".so"):
+            try:
+                dgeev = ctypes.CDLL(os.path.join(libs, name)).scipy_dgeev_64_
+            except (OSError, AttributeError):
+                continue
+            dgeev.argtypes = [ctypes.c_void_p] * 14
+            dgeev.restype = None
+            return dgeev
+    return None
+
+
+class _Workspaces(threading.local):
+    """Each thread's _workspace tuples, by matrix order."""
+
+    def __init__(self):
+        self.by_order = {}
+
+
+_workspaces = _Workspaces()
+
+
+def _workspace(dgeev, n: int) -> tuple:
+    """The buffers and the arguments of dgeev on an n x n companion
+    matrix, as numpy's gufunc passes them: the matrix in column-major
+    order, JOBVL = JOBVR = 'N', LDVL = LDVR = 1, and the LWORK that one
+    workspace query returns. The arguments are the buffers' addresses,
+    fixed for the life of the workspace, which holds a reference to
+    each buffer. The matrix and the eigenvalues sit in array.array
+    buffers, cheaper to refill and to read than ctypes arrays.
+
+    Returns (a, template, a_view, args, info, wr, wi, buffers): dgeev
+    overwrites a, which is refilled from the template, ones below the
+    diagonal, and takes the companion row at stride n through a_view."""
+    import array
+    import ctypes
+    addr = ctypes.addressof
+
+    def doubles(size):
+        buf = array.array("d", bytes(8 * size))
+        return buf, (ctypes.c_double * size).from_buffer(buf)
+
+    template = array.array("d", bytes(8 * n * n))
+    template[1::n + 1] = array.array("d", [1.0] * (n - 1))
+    (a, a_view), (wr, wr_view), (wi, wi_view) = (
+        doubles(n * n), doubles(n), doubles(n))
+    job = ctypes.c_char(b"N")
+    order, one, lwork, info = (ctypes.c_int64(v) for v in (n, 1, -1, 0))
+    unused, query = ctypes.c_double(), ctypes.c_double()
+    args = [addr(job), addr(job), addr(order), addr(a_view), addr(order),
+            addr(wr_view), addr(wi_view), addr(unused), addr(one),
+            addr(unused), addr(one), addr(query), addr(lwork), addr(info)]
+    dgeev(*args)
+    if info.value:
+        raise _linalg_error("Eigenvalues did not converge")
+    lwork.value = int(query.value)
+    work = (ctypes.c_double * lwork.value)()
+    args[11] = addr(work)
+    buffers = (job, order, a_view, wr_view, wi_view, unused, one, lwork,
+               info, work)
+    return a, template, a_view, tuple(args), info, wr, wi, buffers
+
+
+def _bundled_eigvals(dgeev, row: list) -> list[complex]:
+    """The eigenvalues of the real companion matrix with first row row,
+    from dgeev in this thread's workspace for its order."""
+    n = len(row)
+    ws = _workspaces.by_order.get(n)
+    if ws is None:
+        ws = _workspaces.by_order[n] = _workspace(dgeev, n)
+    a, template, a_view, args, info, wr, wi, _ = ws
+    a[:] = template
+    a_view[::n] = row
+    dgeev(*args)
+    if info.value:
+        raise _linalg_error("Eigenvalues did not converge")
+    return list(map(complex, wr, wi))
+
+
+@functools.cache
+def _lapack_eigvals():
+    """numpy's gufunc behind np.linalg.eigvals, imported on first use."""
+    from numpy.linalg._umath_linalg import eigvals
+    return eigvals
+
+
+def _gufunc_eigvals(c: list, k: int, n: int, row) -> list[complex]:
+    """The eigenvalues from numpy's gufunc, called directly, as the
+    wrapper costs more than LAPACK on small matrices: of the complex
+    companion of c when row is None, else of the real one with first
+    row row. A NaN output is how the gufunc reports non-convergence."""
+    import numpy as np
+    with np.errstate(all="ignore"):
+        if row is None:
+            a = np.eye(n, k=-1, dtype=complex)
+            a[0] = -np.array(c[k:-1][::-1]) / c[-1]
+            if not np.isfinite(a[0]).all():
+                raise _linalg_error("Array must not contain infs or NaNs")
+            sig = "D->D"
+        else:
+            a = np.eye(n, k=-1)
+            a[0] = row
+            sig = "d->D"
+        out = _lapack_eigvals()(a, signature=sig).tolist()
+    if any(z != z for z in out):
+        raise _linalg_error("Eigenvalues did not converge")
+    return out
 
 
 def _one_per_pair(raw: list) -> list[complex]:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import random
@@ -470,15 +471,47 @@ def test_own_hull_regression_gets_a_certificate():
     assert cert.check(q, 1e-8 * (1.0 + q.norm()))
 
 
+_FRESH_IMPORT = """
+import io, json, os, sys, sysconfig
+from contextlib import redirect_stdout
+
+def mapped():
+    # the shared objects the process maps, where /proc shows them
+    if not os.path.exists("/proc/self/maps"):
+        return set()
+    with open("/proc/self/maps") as f:
+        return {line.split()[-1] for line in f if ".so" in line}
+
+dynload = os.path.join(sysconfig.get_path("platstdlib"), "lib-dynload")
+before = mapped()
+import qlucas
+out = {"loaded": sorted(p for p in mapped() - before
+                        if not p.startswith(dynload)),
+       "import": sorted(m for m in ("scipy", "numpy", "ctypes")
+                        if m in sys.modules)}
+from qlucas.cli import main
+quadratic = "[[0,0,1,0],[0,1,0,0],[0.5,0,0,0]]"
+for cmd in ("verify", "analyze", "bound"):
+    with redirect_stdout(io.StringIO()):
+        out[cmd] = [main([cmd, "--coeffs", quadratic]),
+                    "numpy" in sys.modules]
+print(json.dumps(out))
+"""
+
+
 def test_import_leaves_scipy_out():
+    """In a fresh interpreter `import qlucas` imports neither scipy nor
+    numpy nor ctypes and maps no shared library beyond the standard
+    library's own extension modules; verify, analyze and bound on the
+    README quadratic then run without importing numpy."""
     src = str(Path(qlucas.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qlucas; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", _FRESH_IMPORT],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == {
+        "loaded": [], "import": [],
+        "verify": [0, False], "analyze": [0, False], "bound": [0, False]}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlucas import qpoly as qpoly_mod
 from qlucas.quaternion import (
     I, J, K, Quaternion, _norm4, random_unit_imaginary,
 )
@@ -180,7 +181,7 @@ def test_symmetrize_is_real_with_positive_leading_term():
         p = rand_poly(rng)
         ps = p.symmetrize()
         scale = 1.0 + p.max_coeff_norm() ** 2
-        assert ps.max_imag_norm() <= 1e-12 * scale
+        assert ps.is_real()
         assert ps.degree == 2 * p.degree
         lead = ps.coeffs[-1].w
         assert abs(lead - p.coeffs[-1].norm2()) <= 1e-12 * scale
@@ -247,13 +248,14 @@ def test_is_real_takes_exact_zeros_without_norms(monkeypatch):
             for _ in range(rng.randint(1, 8))]))
     want = [all(c.x == c.y == c.z == 0.0 for c in p.coeffs) for p in polys]
     assert any(want) and not all(want)
+    signed_zeros = QPoly([Quaternion(1.0, -0.0, 0.0, -0.0), Quaternion(2.0)])
 
-    def refuse(self):
+    def refuse(*_):
         raise AssertionError("is_real took an imaginary norm")
 
-    monkeypatch.setattr(QPoly, "max_imag_norm", refuse)
+    monkeypatch.setattr(qpoly_mod, "_norm4", refuse)
     assert [p.is_real() for p in polys] == want
-    assert QPoly([Quaternion(1.0, -0.0, 0.0, -0.0), Quaternion(2.0)]).is_real()
+    assert signed_zeros.is_real()
 
 
 def test_json_roundtrip():

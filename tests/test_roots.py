@@ -1,11 +1,15 @@
 import cmath
+import ctypes
 import json
 import math
 import random
+import sys
+import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -396,8 +400,12 @@ def companion_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(c=companion_inputs())
 def test_companion_roots_are_np_roots_bit_for_bit(c):
-    want = [complex(z) for z in np.roots(c[::-1])]
-    assert repr(roots_mod._eigen_roots(c)) == repr(want)
+    """Both routes: the bundled dgeev, and numpy's gufunc when the
+    library lookup finds none."""
+    want = repr([complex(z) for z in np.roots(c[::-1])])
+    assert repr(roots_mod._eigen_roots(c)) == want
+    with mock.patch.object(roots_mod, "_bundled_dgeev", lambda: None):
+        assert repr(roots_mod._eigen_roots(c)) == want
 
 
 def test_degenerate_inputs_raise():
@@ -625,22 +633,75 @@ def test_root_finding_calls_no_numpy_root_wrapper(monkeypatch):
 
 
 def test_eigen_roots_keeps_the_wrapper_checks(monkeypatch):
-    for c in ([1.0, math.inf, 1.0], [1.0, math.nan, 2.0],
-              [1j, complex(math.inf, 0.0), 1.0 + 0j], [1.0, 1e300, 1e-300]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError,
-                               match="Array must not contain infs or NaNs"):
-                roots_mod._eigen_roots(c)
+    """Both LinAlgError messages of np.linalg.eigvals, on numpy's gufunc
+    (the route of a complex list, and of every list when the library
+    lookup finds nothing; a stand-in gives the NaN output that reports
+    non-convergence) and on the bundled dgeev (a stand-in that wraps
+    the real routine sets INFO > 0)."""
+    dgeev = roots_mod._bundled_dgeev()
 
-    def unconverged(a, signature):
+    def nan_output(a, signature):
         return np.full(len(a), complex(math.nan, math.nan))
 
-    monkeypatch.setattr(roots_mod, "_lapack_eigvals", unconverged)
-    for c in ([6.0, -5.0, 1.0], [1j, 2.0, 1.0 - 1j]):
-        with pytest.raises(np.linalg.LinAlgError,
-                           match="Eigenvalues did not converge"):
-            roots_mod._eigen_roots(c)
+    def info_positive(*args):
+        dgeev(*args)
+        ctypes.c_int64.from_address(args[-1]).value = 1   # INFO
+
+    real = [[6.0, -5.0, 1.0], [2.0, 0.5, -3.0, 1.0]]
+    routes = [(None, "_lapack_eigvals", nan_output,
+               real + [[1j, 2.0, 1.0 - 1j]])]
+    if dgeev is not None:
+        routes.append((dgeev, "_bundled_dgeev", info_positive, real))
+    for found, name, unconverged, cases in routes:
+        with monkeypatch.context() as m:
+            m.setattr(roots_mod, "_bundled_dgeev", lambda: found)
+            for c in ([1.0, math.inf, 1.0], [1.0, math.nan, 2.0],
+                      [1j, complex(math.inf, 0.0), 1.0 + 0j],
+                      [1.0, 1e300, 1e-300]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(np.linalg.LinAlgError,
+                                       match="Array must not contain infs"):
+                        roots_mod._eigen_roots(c)
+            for c in cases:
+                roots_mod._eigen_roots(c)   # builds the workspaces
+            m.setattr(roots_mod, name, lambda: unconverged)
+            for c in cases:
+                with pytest.raises(np.linalg.LinAlgError,
+                                   match="Eigenvalues did not converge"):
+                    roots_mod._eigen_roots(c)
+    # the workspace the stand-in wrote INFO into still serves
+    assert (repr(roots_mod._eigen_roots([6.0, -5.0, 1.0]))
+            == repr([complex(z) for z in np.roots([1.0, -5.0, 6.0])]))
+
+
+def test_eigen_roots_threads_keep_their_own_buffers():
+    """The bundled dgeev runs without the interpreter lock, on buffers
+    that each thread owns: threads that root polynomials of the same
+    orders at once get the single-threaded bits."""
+    rng = random.Random(29)
+    polys = [[rng.uniform(-3.0, 3.0) for _ in range(rng.randint(2, 9))]
+             + [1.0] for _ in range(60)]
+    want = [repr(roots_mod._eigen_roots(c)) for c in polys]
+    got = {}
+
+    def work(k):
+        got[k] = [[repr(roots_mod._eigen_roots(c)) for c in polys]
+                  for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(runs == [want] * 20 for runs in got.values())
+    assert len(got) == 6
 
 
 @st.composite
