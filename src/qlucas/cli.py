@@ -14,14 +14,13 @@ import math
 import os
 import sys
 
-from .factorization import check_l_identity, fejer_riesz_factor, \
-    slice_symmetrization
+from .factorization import check_l_identity, fejer_riesz_factor
 from .gauss_lucas import (
     modulus_lower_bound_details,
     run_verification_campaign,
     verify_gauss_lucas,
 )
-from .qpoly import QPoly, restrict_to_slice
+from .qpoly import QPoly, _symmetrized, restrict_to_slice
 from .quaternion import (I as UNIT_I, J as UNIT_J, K as UNIT_K, Quaternion,
                          imag_direction)
 from .roots import NumericalBreakdown, critical_points, zero_set
@@ -242,13 +241,14 @@ def cmd_factor(args) -> int:
     p = _load_poly(args)
     unit = _parse_slice(args.slice)
     sp = restrict_to_slice(p, unit)
-    q_coeffs = slice_symmetrization(sp)
+    # P^s is the same on every slice; the slice gives P1 and P2 only
+    q_coeffs = _symmetrized(p.parts)
     fac = fejer_riesz_factor(q_coeffs)
     identity = check_l_identity(sp.p1, sp.p2, fac.m_coeffs, _L_SAMPLES)
     if args.format == "json":
         _emit(_json_text({
             "slice": [unit.x, unit.y, unit.z],
-            "q_coeffs": [float(c) for c in q_coeffs],
+            "q_coeffs": q_coeffs,
             "m_coeffs": [[c.real, c.imag] for c in fac.m_coeffs],
             "residual": fac.residual,
             "l_identity_sampled": identity,
@@ -256,7 +256,7 @@ def cmd_factor(args) -> int:
         return 0
     lines = [f"slice direction ({unit.x:.6g}, {unit.y:.6g}, {unit.z:.6g})",
              "symmetrized coefficients: "
-             + ", ".join(f"{float(c):.6g}" for c in q_coeffs),
+             + ", ".join(f"{c:.6g}" for c in q_coeffs),
              "factor M coefficients:"]
     for n, c in enumerate(fac.m_coeffs):
         lines.append(f"  z^{n}: {c.real:.6g} {c.imag:+.6g}i")

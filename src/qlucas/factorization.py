@@ -1,24 +1,19 @@
 """Spectral factorization of nonnegative real-coefficient polynomials
 and the sampled check of the slice product identity. The kernels run on
 lists of Python complex numbers, with one convolution for every product,
-and slice_symmetrization takes P^s from qpoly._symmetrized; only the
-ndarray results of slice_symmetrization and product_coeffs are numpy,
-which those two import when called."""
+and slice_symmetrization takes P^s from qpoly._symmetrized. P^s and the
+product M conj(M(conj z)) are returned as lists of floats."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import TYPE_CHECKING
 
 from .qpoly import (SlicePoly, _derivative, _magnitude_scale, _symmetrized,
                     horner, trim_rel)
 from .roots import NumericalBreakdown, _root_clusters
 from .tolerances import TAU_FACTOR, TAU_L_IDENTITY
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _mul(a, b) -> list:
@@ -44,10 +39,9 @@ class MFactor:
     def reflected_coeffs(self) -> tuple[complex, ...]:
         return tuple(c.conjugate() for c in self.m_coeffs)
 
-    def product_coeffs(self) -> np.ndarray:
-        import numpy as np
+    def product_coeffs(self) -> list[float]:
         m = self.m_coeffs
-        return np.array([c.real for c in _mul(m, [c.conjugate() for c in m])])
+        return [c.real for c in _mul(m, [c.conjugate() for c in m])]
 
     def __call__(self, z: complex) -> complex:
         return horner(self.m_coeffs, z)
@@ -148,15 +142,13 @@ def check_l_identity(p1, p2, m_coeffs, z_samples,
     return True
 
 
-def slice_symmetrization(sp: SlicePoly) -> np.ndarray:
+def slice_symmetrization(sp: SlicePoly) -> list[float]:
     """Real coefficients of P1 conj-reflect(P1) + P2 conj-reflect(P2),
     the restriction of the symmetrization to the slice. That is P^s
     itself: (Re P1, Im P1, Re P2, Im P2) are the parts of P in the
     orthonormal basis {1, I, J, IJ}, and _symmetrized takes only inner
-    products of coefficients, which no orthonormal basis changes.
-    Returned as an ndarray, so this imports numpy."""
-    import numpy as np
-    return np.array(_symmetrized([[c.real for c in sp.p1],
-                                  [c.imag for c in sp.p1],
-                                  [c.real for c in sp.p2],
-                                  [c.imag for c in sp.p2]]))
+    products of coefficients, which no orthonormal basis changes. Every
+    slice gives P^s, up to the rounding of the slice parts, as the list
+    of floats that _symmetrized builds."""
+    return _symmetrized([[c.real for c in sp.p1], [c.imag for c in sp.p1],
+                         [c.real for c in sp.p2], [c.imag for c in sp.p2]])

@@ -717,8 +717,9 @@ def _zero_set_real(p: QPoly, tau_zero: float) -> ZeroSet:
 
 
 def _assemble(p: QPoly, isolated, spheres) -> ZeroSet:
+    # spheres arrive in the (x, y) order of _root_clusters; isolated
+    # points that share a real part need the sort
     isolated.sort(key=lambda z: (z.point.w, z.point.x, z.point.y, z.point.z))
-    spheres.sort(key=lambda s: (s.sphere.x, s.sphere.y))
     zs = ZeroSet(tuple(isolated), tuple(spheres), p.degree)
     if zs.zero_count() != p.degree:
         raise NumericalBreakdown(

@@ -269,10 +269,10 @@ def test_criterion_6a_factorization_residuals():
         m = fejer_riesz_factor(q)
         assert m.residual <= 1e-8
         prod = m.product_coeffs()
-        width = max(prod.size, q.size)
-        a = np.zeros(width, dtype=complex)
-        b = np.zeros(width, dtype=complex)
-        a[:prod.size] = prod
+        assert type(prod) is list and all(type(c) is float for c in prod)
+        a = np.zeros(max(len(prod), q.size))
+        b = np.zeros(a.size)
+        a[:len(prod)] = prod
         b[:q.size] = q
         assert float(np.max(np.abs(a - b))) <= \
             1e-8 * (1.0 + float(np.max(np.abs(q))))

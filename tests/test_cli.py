@@ -106,6 +106,22 @@ def test_verify_campaign_is_reproducible(capsys):
     assert code1 == code2
 
 
+def test_verify_campaign_text_agrees_with_json(capsys):
+    # seed 28 fails 11 of 20 trials, one more than the text lists
+    code_json, out, _ = run(capsys, "verify", "--seed", "28", "--trials",
+                            "20", "--format", "json")
+    doc = json.loads(out)
+    failures = doc["failures"]
+    assert len(failures) == 11 and not doc["breakdowns"]
+    code, text, _ = run(capsys, "verify", "--seed", "28", "--trials", "20")
+    assert code == code_json == 1
+    assert text.splitlines() == [
+        "campaign: seed 28  trials 20  eps_hull 1e-06",
+        f"verified {doc['verified']}  failures 11  breakdowns 0",
+    ] + [f"  failure on trial {f['trial']} ({f['kind']}), "
+         f"distance {f['worst_distance']:.3g}" for f in failures[:10]]
+
+
 def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("QL_SEED", "11")
     _, out_env, _ = run(capsys, "verify", "--trials", "15",

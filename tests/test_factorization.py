@@ -103,6 +103,17 @@ def test_factor_rejects_impossible_inputs():
         fejer_riesz_factor([0.0])
 
 
+def test_product_residual_breakdown(monkeypatch):
+    q = [1.0, 0.0, 1.0, 0.0, 0.25]
+    residual = fejer_riesz_factor(q).residual
+    assert residual > 0.0
+    monkeypatch.setattr(factorization, "TAU_FACTOR", 0.0)
+    with pytest.raises(NumericalBreakdown) as ex:
+        fejer_riesz_factor(q)
+    assert str(ex.value) == "reconstructed product does not match the input"
+    assert ex.value.info == {"residual": residual}
+
+
 def test_factor_reads_realness_from_the_bits():
     # an imaginary part far below any relative tolerance is still not real
     with pytest.raises(ValueError):
@@ -157,17 +168,13 @@ def test_slice_symmetrization_matches_full_symmetrization():
         unit = random_unit_imaginary(rng)
         sp = restrict_to_slice(p, unit)
         got = slice_symmetrization(sp)
+        assert type(got) is list and all(type(c) is float for c in got)
         want_poly = restrict_to_slice(p.symmetrize(), unit)
-        want = np.asarray(want_poly.p1, dtype=complex)
-        assert float(np.max(np.abs(np.asarray(want_poly.p2)))) <= \
+        assert max(map(abs, want_poly.p2), default=0.0) <= \
             1e-10 * (1.0 + p.max_coeff_norm() ** 2)
-        width = max(got.size, want.size)
-        a = np.zeros(width, dtype=complex)
-        b = np.zeros(width, dtype=complex)
-        a[:got.size] = got
-        b[:want.size] = want
-        assert float(np.max(np.abs(a - b))) <= \
-            1e-9 * (1.0 + p.max_coeff_norm() ** 2)
+        gap = max(abs(a - b) for a, b in
+                  zip_longest(got, want_poly.p1, fillvalue=0.0))
+        assert gap <= 1e-9 * (1.0 + p.max_coeff_norm() ** 2)
 
 
 def test_factored_then_checked_end_to_end():
@@ -188,12 +195,9 @@ def test_factored_then_checked_end_to_end():
         # the factorization itself is sound even when the sampled
         # derivative identity is not
         prod = m.product_coeffs()
-        width = max(prod.size, q.size)
-        a = np.zeros(width, dtype=complex)
-        b = np.zeros(width, dtype=complex)
-        a[:prod.size] = prod
-        b[:q.size] = q
-        assert np.max(np.abs(a - b)) <= 1e-8 * (1.0 + float(np.max(np.abs(q))))
+        assert type(prod) is list and all(type(c) is float for c in prod)
+        gap = max(abs(a - b) for a, b in zip_longest(prod, q, fillvalue=0.0))
+        assert gap <= 1e-8 * (1.0 + max(map(abs, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +260,10 @@ def test_list_kernels_match_the_numpy_formulas():
         sp = restrict_to_slice(QPoly(coeffs), random_unit_imaginary(rng))
         got = slice_symmetrization(sp)
         want = numpy_slice_symmetrization(sp)
-        assert isinstance(got, np.ndarray) and got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert type(got) is list and len(got) == want.size
+        assert all(type(c) is float for c in got)
+        assert np.max(np.abs(np.array(got) - want)) <= \
+            1e-13 * np.max(np.abs(want))
         try:
             m = fejer_riesz_factor(got)
         except NumericalBreakdown:
@@ -267,7 +273,8 @@ def test_list_kernels_match_the_numpy_formulas():
         assert isinstance(m.m_coeffs, tuple) and len(m.m_coeffs) == ref.size
         assert np.max(np.abs(np.asarray(m.m_coeffs) - ref)) <= \
             1e-12 * (1.0 + np.max(np.abs(ref)))
-        assert isinstance(m.product_coeffs(), np.ndarray)
+        prod = m.product_coeffs()
+        assert type(prod) is list and all(type(c) is float for c in prod)
         zs = sample_ring(rng, 8)
         holds = check_l_identity(sp.p1, sp.p2, m.m_coeffs, zs)
         assert holds == numpy_l_identity(sp.p1, sp.p2, m.m_coeffs, zs)
@@ -282,17 +289,19 @@ def test_factor_takes_an_ndarray_as_its_list():
                   for _ in range(rng.randint(1, 5))]
         q = slice_symmetrization(
             restrict_to_slice(QPoly(coeffs), random_unit_imaginary(rng)))
-        assert isinstance(q, np.ndarray)
+        assert type(q) is list
+        # an outside caller may pass the list as an ndarray
+        arr = np.asarray(q)
         try:
-            want = fejer_riesz_factor([float(c) for c in q])
+            want = fejer_riesz_factor(q)
         except NumericalBreakdown as err:
             with pytest.raises(NumericalBreakdown) as got:
-                fejer_riesz_factor(q)
+                fejer_riesz_factor(arr)
             assert repr(got.value.info) == repr(err.info)
             continue
-        assert repr(fejer_riesz_factor(q)) == repr(want)
+        assert repr(fejer_riesz_factor(arr)) == repr(want)
         # complex and integer arrays convert as their entries do
-        assert repr(fejer_riesz_factor(q.astype(complex))) == repr(want)
+        assert repr(fejer_riesz_factor(arr.astype(complex))) == repr(want)
     assert repr(fejer_riesz_factor(np.array([4, 0, 1]))) == \
         repr(fejer_riesz_factor([4.0, 0.0, 1.0]))
 

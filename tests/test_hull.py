@@ -491,10 +491,11 @@ out = {"loaded": sorted(p for p in mapped() - before
                         if m in sys.modules)}
 from qlucas.cli import main
 quadratic = "[[0,0,1,0],[0,1,0,0],[0.5,0,0,0]]"
-for cmd in ("verify", "analyze", "bound"):
+for argv in (["verify"], ["analyze"], ["bound"], ["factor", "--slice", "i"],
+             ["factor", "--slice", "j"], ["factor", "--slice", "k"]):
     with redirect_stdout(io.StringIO()):
-        out[cmd] = [main([cmd, "--coeffs", quadratic]),
-                    "numpy" in sys.modules]
+        out[" ".join(argv)] = [main(argv + ["--coeffs", quadratic]),
+                               "numpy" in sys.modules]
 print(json.dumps(out))
 """
 
@@ -502,8 +503,9 @@ print(json.dumps(out))
 def test_import_leaves_scipy_out():
     """In a fresh interpreter `import qlucas` imports neither scipy nor
     numpy nor ctypes and maps no shared library beyond the standard
-    library's own extension modules; verify, analyze and bound on the
-    README quadratic then run without importing numpy."""
+    library's own extension modules; verify, analyze, bound and factor
+    on the slices i, j and k then run on the README quadratic without
+    importing numpy."""
     src = str(Path(qlucas.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _FRESH_IMPORT],
@@ -511,7 +513,9 @@ def test_import_leaves_scipy_out():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "loaded": [], "import": [],
-        "verify": [0, False], "analyze": [0, False], "bound": [0, False]}
+        "verify": [0, False], "analyze": [0, False], "bound": [0, False],
+        "factor --slice i": [0, False], "factor --slice j": [0, False],
+        "factor --slice k": [0, False]}
 
 
 # ---------------------------------------------------------------------------

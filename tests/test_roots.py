@@ -1492,5 +1492,69 @@ def test_classification_holds_at_both_ends_of_the_float_range():
     assert seen["isolated"] >= 20 and seen["not_a_zero"] >= 20
     assert seen["spherical"] >= 10
 
+
+# ---------------------------------------------------------------------------
+# breakdown sites that no sampled input reaches: each is driven by one
+# input, a tau_zero argument or a patched tolerance, and pins its message
+# and its info
+
+
+def test_root_residual_breakdown_names_the_first_failing_center(
+        monkeypatch):
+    c = [2.0, -3.0, 1.1, 0.7]
+    z, m, res = roots_mod._root_clusters(c)[0]     # the real root
+    assert z.imag == 0 and res > 0.0
+    monkeypatch.setattr(roots_mod, "TAU_ROOT", 0.0)
+    with pytest.raises(NumericalBreakdown) as ex:
+        roots_mod._root_clusters(c)
+    assert str(ex.value) == "root residual above tolerance"
+    assert ex.value.info == {"center": z, "multiplicity": m, "residual": res}
+
+
+def test_multiplicity_sum_breakdown_when_a_pair_is_snapped_once(
+        monkeypatch):
+    # an unbounded snap puts the pair +-i on the axis as one real root,
+    # and an unbounded residual bound lets it pass: the count catches it
+    monkeypatch.setattr(roots_mod, "TAU_IM_SNAP", math.inf)
+    monkeypatch.setattr(roots_mod, "TAU_ROOT", math.inf)
+    with pytest.raises(NumericalBreakdown) as ex:
+        roots_mod._root_clusters([1.0, 0.0, 1.0])
+    assert str(ex.value) == "multiplicities do not sum to the degree"
+    assert ex.value.info == {"degree": 2, "found": 1}
+
+
+@pytest.mark.parametrize("raw", [[1 + 1j], [1 - 1j, 1 + 1j], [2.0, 1 + 1j,
+                                                             1 + 2j]])
+def test_conjugate_pairing_breakdown(raw):
+    with pytest.raises(NumericalBreakdown) as ex:
+        roots_mod._one_per_pair(raw)
+    assert str(ex.value) == "conjugate pairing failed for a real polynomial"
+    assert ex.value.info == {"root": next(z for z in raw if z.imag)}
+
+
+def test_isolated_zero_residual_breakdown_at_tau_zero_0():
+    p = QPoly([Quaternion(0.3, 1.2, -0.7, 0.4),
+               Quaternion(-1.1, 0.2, 0.9, 0.5), Quaternion(1.0)])
+    first = zero_set(p).isolated[0]
+    assert first.residual > 0.0
+    with pytest.raises(NumericalBreakdown) as ex:
+        zero_set(p, tau_zero=0.0)
+    assert str(ex.value) == "classified isolated zero fails its residual bound"
+    assert ex.value.info == {"point": first.point.to_list(),
+                             "residual": first.residual}
+
+
+def test_zero_count_breakdown_when_the_symmetrization_loses_its_lead():
+    # |a_2| = 1e-7 max |a_n| is kept by QPoly, but its square, the lead of
+    # P^s, is within TAU_TRIM_REL of the largest P^s coefficient and is
+    # trimmed: the zero near infinity is lost, and with it one count
+    p = QPoly([J, 1.0, 1e-7 * K])
+    assert p.degree == 2 and len(p.symmetrize().norms) == 3
+    with pytest.raises(NumericalBreakdown) as ex:
+        zero_set(p)
+    assert str(ex.value) == \
+        "zero multiplicities do not account for the degree"
+    assert ex.value.info == {"degree": 2, "counted": 1}
+
 if __name__ == "__main__":
     print(write_golden_roots(), "cases written to", GOLDEN_ROOTS)

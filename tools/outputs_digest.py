@@ -7,8 +7,7 @@ OPERATIONS) on the first COUNT inputs of benchmark/workloads.generate,
 with the program imported from this checkout's src, and prints the count,
 the number of breakdowns and the SHA-256 of the repr of every result, or
 of (type, message, info) for a breakdown. Two trees that print the same
-line gave the same outputs, bit for bit, on those inputs. ndarrays are
-printed in full with the shortest round-trip digits.
+line gave the same outputs, bit for bit, on those inputs.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "benchmark"
 sys.path.insert(0, str(BENCH))
 
-import numpy as np  # noqa: E402
-
 import run  # noqa: E402
 import workloads  # noqa: E402
 
@@ -33,16 +30,14 @@ def digest(workload: str, seed: int, count: int) -> tuple[int, str]:
     operation = run.OPERATIONS[workload]
     sha = hashlib.sha256()
     breakdowns = 0
-    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
-        for coeffs in workloads.generate(workload, seed, count):
-            try:
-                out = repr(operation(ql, coeffs))
-            except (ql.NumericalBreakdown, ValueError) as ex:
-                breakdowns += 1
-                out = repr((type(ex).__name__, str(ex),
-                            getattr(ex, "info", None)))
-            sha.update(out.encode())
-            sha.update(b"\n")
+    for coeffs in workloads.generate(workload, seed, count):
+        try:
+            out = repr(operation(ql, coeffs))
+        except (ql.NumericalBreakdown, ValueError) as ex:
+            breakdowns += 1
+            out = repr((type(ex).__name__, str(ex), getattr(ex, "info", None)))
+        sha.update(out.encode())
+        sha.update(b"\n")
     return breakdowns, sha.hexdigest()
 
 
