@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from .quaternion import Quaternion, TwoSphere, _inverse_parts, _mul4, _norm4
 from .qpoly import (QPoly, _derivative, _kept, _magnitude_scale,
                     _sphere_parts, _symmetrized, _value, horner, horner_scale)
-from .tolerances import (CLUSTER_RADII, TAU_CLUSTER, TAU_IM_SNAP,
-                         TAU_REACH, TAU_ROOT, TAU_UNIT, TAU_VALIDATE,
-                         TAU_ZERO, ULP)
+from .tolerances import (CLUSTER_RADII, TAU_IM_SNAP, TAU_REACH, TAU_ROOT,
+                         TAU_UNIT, TAU_VALIDATE, TAU_ZERO, ULP)
 
 _NEWTON_STEPS = 80
 
@@ -164,34 +163,24 @@ def _order(item):
     return (item[0].real, item[0].imag)
 
 
-def _agglomerate(items, derivs, level: int):
-    """Clusters [center, multiplicity] of items, [root, 1] sorted by
-    _order, down the ladder of CLUSTER_RADII from the given level."""
-    if len(items) == 1:
-        return [items[0]]
-    if level >= len(CLUSTER_RADII):
-        # base radius: merging is mandated, no validation
-        return [list(_centroid(comp))
-                for comp in _components(items, TAU_CLUSTER)]
-    out = []
-    for comp in _components(items, CLUSTER_RADII[level]):
-        out += _merge(comp, derivs, level)
-    return out
-
-
-def _merge(comp, derivs, level: int):
-    """One component at CLUSTER_RADII[level]: its centroid, polished on
-    the (m-1)-th derivative, when that stays within the radius and
-    validates; otherwise the component's clusters at the next level."""
-    if len(comp) == 1:
-        return [comp[0]]
-    radius = CLUSTER_RADII[level]
-    z0, m = _centroid(comp)
-    zp = _newton(derivs, m - 1, z0)
-    if (abs(zp - z0) <= radius * (1.0 + abs(z0))
-            and _validated(derivs, zp, m)):
-        return [[zp, m]]
-    return _agglomerate(comp, derivs, level + 1)
+def _agglomerate(comp, derivs, level: int):
+    """The clusters [center, multiplicity] of comp, a component at
+    CLUSTER_RADII[level] of items [root, 1] sorted by _order: its
+    centroid, polished on the (m-1)-th derivative, when that stays
+    within the radius and validates; otherwise the clusters of its
+    components at the next radius. Below the last radius its roots stay
+    as they are."""
+    if len(comp) > 1:
+        radius = CLUSTER_RADII[level]
+        z0, m = _centroid(comp)
+        zp = _newton(derivs, m - 1, z0)
+        if (abs(zp - z0) <= radius * (1.0 + abs(z0))
+                and _validated(derivs, zp, m)):
+            return [[zp, m]]
+        if level + 1 < len(CLUSTER_RADII):
+            return [c for sub in _components(comp, CLUSTER_RADII[level + 1])
+                    for c in _agglomerate(sub, derivs, level + 1)]
+    return comp
 
 
 def _on_axis(z: complex) -> bool:
@@ -220,10 +209,10 @@ def _real_clusters(items, derivs):
     component of the items is the fold of one component of all roots.
     A component that does not link to its mirror stands for itself and
     its mirror image, and runs the ladder once; a cluster that Newton
-    moved below the axis is mirrored back, and one on the axis counts
-    twice, as its mirror would. A component that does is the fold of a
-    conjugate-closed one: that set runs the ladder whole, and the
-    clusters above or on the axis are kept.
+    moved below the axis is mirrored back, and one on the axis is one
+    cluster with its mirror, of twice the multiplicity. A component that
+    does is the fold of a conjugate-closed one: that set runs the ladder
+    whole, and the clusters above or on the axis are kept.
 
     A singleton component is its own cluster unless it is a non-real
     root linked to its own mirror, so when every component is a
@@ -250,12 +239,12 @@ def _real_clusters(items, derivs):
         if _mirror_linked(comp, radius):
             closed = sorted(comp + [[z.conjugate(), m] for z, m in comp
                                     if z.imag > 0], key=_order)
-            out += [c for c in _merge(closed, derivs, 0)
+            out += [c for c in _agglomerate(closed, derivs, 0)
                     if c[0].imag > 0 or _on_axis(c[0])]
             continue
-        for z, m in _merge(comp, derivs, 0):
+        for z, m in _agglomerate(comp, derivs, 0):
             if _on_axis(z):
-                out += [[z, m], [z, m]]
+                out.append([z, 2 * m])
             else:
                 out.append([z if z.imag > 0 else z.conjugate(), m])
     return out
@@ -268,7 +257,9 @@ def _root_clusters(coeffs: list[float]) -> list:
     same multiplicity and residual, as (center, multiplicity, residual)
     tuples sorted by _order. Companion-matrix eigenvalues, agglomerative
     cluster merging (see CLUSTER_RADII), then Newton polishing on the
-    (multiplicity-1)-th derivative and the residual at each center.
+    (multiplicity-1)-th derivative and the residual at each center. A
+    real center is listed once, with its whole multiplicity: a pair
+    polished onto the axis is one real root of twice the multiplicity.
 
     Real coefficients make the roots conjugate-symmetric, and Horner's
     rule commutes exactly with conjugation, so the work on one
@@ -302,21 +293,15 @@ def _root_clusters(coeffs: list[float]) -> list:
     raw = _one_per_pair(_eigen_roots(c))
     items = sorted(([z, 1] for z in raw), key=_order)
     for z, m in _real_clusters(items, derivs):
-        if _on_axis(z):
-            x = _newton(derivs, m - 1, z).real
-            found.append((complex(x, 0.0), m, residual(x)))
-            total += m
-            continue
+        real = _on_axis(z)
+        count = m if real else 2 * m
+        total += count
         z = _newton(derivs, m - 1, z)
-        total += 2 * m
-        if _on_axis(z):
+        if real or _on_axis(z):
             x = z.real
-            res = residual(x)
-            z = complex(x, 0.0)
-            found += [(z, m, res), (z, m, res)]
-            continue
-        res = residual(z)
-        found.append((z if z.imag > 0 else z.conjugate(), m, res))
+            found.append((complex(x, 0.0), count, residual(x)))
+        else:
+            found.append((z if z.imag > 0 else z.conjugate(), m, residual(z)))
 
     found.sort(key=_order)
     failing = [cl for cl in found if cl[2] > TAU_ROOT]

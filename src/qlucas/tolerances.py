@@ -41,18 +41,15 @@ TAU_STAR_ZERO = 1e-10
 # ---------------------------------------------------------------------------
 # roots and zero sets
 
-# base cluster radius: roots within this relative distance are merged
-# without validation
-TAU_CLUSTER = 1e-6
 # Companion-matrix eigenvalues of an exact m-fold root scatter like
-# eps^(1/m): ~1e-8 for doubles but ~6e-6 for triples and ~2e-4 for
-# quadruples, far outside TAU_CLUSTER. Merging beyond the base radius is
-# therefore attempted down a ladder of radii and accepted only when the
-# merged interpretation is backward-stable: all derivatives below the
-# hypothesized multiplicity must vanish at the polished center within
-# TAU_VALIDATE of their magnitude bound. Two genuinely distinct roots
-# fail that test unless they are within ~TAU_CLUSTER of each other, in
-# which case merging is the contract anyway. The ladder runs on the
+# eps^(1/m): ~1e-8 for doubles, ~6e-6 for triples and ~2e-4 for
+# quadruples. Merging is therefore attempted down a ladder of radii and
+# accepted only when the merged interpretation is backward-stable: all
+# derivatives below the hypothesized multiplicity must vanish at the
+# polished center within TAU_VALIDATE of their magnitude bound. Roots
+# that no radius merges stay distinct. Two simple roots pass the test
+# only within about 2e-6 (1 + |z|) of each other, where the double root
+# is as good an answer to the rounded polynomial. The ladder runs on the
 # closed upper half-plane only (roots._real_clusters): a component there
 # that links to its own mirror at the first radius, |u - conj v| within
 # it for some u, v, runs it conjugate-closed.

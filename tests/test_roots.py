@@ -1222,11 +1222,8 @@ def reference_validated(derivs, z, mu):
 
 def reference_agglomerate(items, derivs, level):
     radii = roots_mod.CLUSTER_RADII
-    if len(items) == 1:
-        return [items[0]]
-    if level >= len(radii):
-        return [list(roots_mod._centroid(comp)) for comp in
-                roots_mod._components(items, roots_mod.TAU_CLUSTER)]
+    if len(items) == 1 or level >= len(radii):
+        return items
     out = []
     for comp in roots_mod._components(items, radii[level]):
         out += reference_merge(comp, derivs, level)
@@ -1262,7 +1259,7 @@ def reference_real_clusters(items, derivs, merge=reference_merge):
             continue
         for z, m in merge(comp, derivs, 0):
             if on_axis(z):
-                out += [[z, m], [z, m]]
+                out.append([z, 2 * m])
             else:
                 out.append([z if z.imag > 0 else z.conjugate(), m])
     return out
@@ -1301,8 +1298,7 @@ def reference_root_clusters(coeffs):
         total += 2 * m
         if on_axis(z):
             z = complex(z.real, 0.0)
-            res = residual(z)
-            found += [(z, m, res), (z, m, res)]
+            found.append((z, 2 * m, residual(z)))
             continue
         res = residual(z)
         found.append((z if z.imag > 0 else z.conjugate(), m, res))
@@ -1443,12 +1439,12 @@ def separation_cases():
 
 
 def test_separation_scan_agrees_with_the_components(monkeypatch):
-    # _merge marks each component it gets, so both sides see the same
-    # merges; only the decision to return the items at once is tested
+    # _agglomerate marks each component it gets, so both sides see the
+    # same merges; only the decision to return the items at once is tested
     def marked(comp, derivs, level):
         return [[sum(z for z, _ in comp) / len(comp), len(comp)]]
 
-    monkeypatch.setattr(roots_mod, "_merge", marked)
+    monkeypatch.setattr(roots_mod, "_agglomerate", marked)
     seen = Counter()
     for items in separation_cases():
         want = reference_real_clusters(items, None, marked)
@@ -1521,6 +1517,22 @@ def test_multiplicity_sum_breakdown_when_a_pair_is_snapped_once(
         roots_mod._root_clusters([1.0, 0.0, 1.0])
     assert str(ex.value) == "multiplicities do not sum to the degree"
     assert ex.value.info == {"degree": 2, "found": 1}
+
+
+def test_a_pair_polished_onto_the_axis_is_one_real_root(monkeypatch):
+    # a polish that drops the imaginary part lands the pair +-i of 1 + z^2
+    # on the axis, and an unbounded residual bound lets it pass: it is one
+    # real root of multiplicity 2, not two simple ones at the same point
+    newton = roots_mod._newton
+    monkeypatch.setattr(roots_mod, "_newton", lambda derivs, order, z0:
+                        complex(newton(derivs, order, z0).real, 0.0))
+    monkeypatch.setattr(roots_mod, "TAU_ROOT", math.inf)
+    [(z, m, res)] = roots_mod._root_clusters([1.0, 0.0, 1.0])
+    assert z == 0 and m == 2 and res > 0.0
+    zs = zero_set(QPoly([1.0, 0.0, 1.0]), tau_zero=math.inf)
+    assert [(q.point.to_list(), q.multiplicity) for q in zs.isolated] == [
+        ([0.0, 0.0, 0.0, 0.0], 2)]
+    assert not zs.spheres
 
 
 @pytest.mark.parametrize("raw", [[1 + 1j], [1 - 1j, 1 + 1j], [2.0, 1 + 1j,
