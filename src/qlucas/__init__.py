@@ -31,7 +31,6 @@ from .roots import (
 from .hull import (
     HullCertificate,
     Outside,
-    hull_membership_4d,
     hull_membership_slice,
 )
 from .factorization import (
@@ -64,7 +63,6 @@ __all__ = [
     "NumericalBreakdown", "IsolatedZero", "SphereZero", "ZeroSet",
     "zero_set", "critical_points",
     "HullCertificate", "Outside", "hull_membership_slice",
-    "hull_membership_4d",
     "MFactor", "fejer_riesz_factor", "check_l_identity",
     "slice_symmetrization",
     "GLReport", "CriticalPointCheck", "verify_gauss_lucas",

@@ -11,7 +11,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 
 from .factorization import check_l_identity, fejer_riesz_factor
@@ -65,13 +64,13 @@ def _poly_from_obj(obj) -> QPoly:
 
 
 def _load_poly(args) -> QPoly:
-    if getattr(args, "coeffs", None) is not None:
+    if args.coeffs is not None:
         try:
             obj = json.loads(args.coeffs)
         except json.JSONDecodeError as ex:
             raise CLIError(f"--coeffs is not valid JSON: {ex}")
         return _poly_from_obj(obj)
-    if getattr(args, "input", None) is not None:
+    if args.input is not None:
         try:
             with open(args.input) as fh:
                 obj = json.load(fh)
@@ -107,18 +106,8 @@ def _parse_slice(text: str) -> Quaternion:
     return imag_direction(u)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("QL_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise CLIError(f"QL_SEED is not an integer: {raw!r}")
-
-
 def _emit(text: str, args) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -158,7 +147,8 @@ def cmd_analyze(args) -> int:
     p = _load_poly(args)
     eps = args.eps_hull if args.eps_hull is not None else EPS_HULL
     zs = zero_set(p, args.tol_zero)
-    bound = modulus_lower_bound_details(p, zs)
+    bound = modulus_lower_bound_details(p)
+    bound["observed_max_modulus"] = zs.max_modulus()
     if p.degree >= 2:
         report = verify_gauss_lucas(p, eps, args.tol_zero)
         crit = report.critical
@@ -208,13 +198,13 @@ def cmd_verify(args) -> int:
             _emit("\n".join(lines) + "\n", args)
         return 0 if rep.verified else 1
 
-    seed = _resolve_seed(args)
     eps = args.eps_hull if args.eps_hull is not None else EPS_CAMPAIGN
-    report = run_verification_campaign(seed, args.trials, eps, args.tol_zero)
+    report = run_verification_campaign(args.seed, args.trials, eps,
+                                       args.tol_zero)
     if args.format == "json":
         _emit(_json_text(report), args)
     else:
-        lines = [f"campaign: seed {seed}  trials {report['trials']}  "
+        lines = [f"campaign: seed {args.seed}  trials {report['trials']}  "
                  f"eps_hull {eps:.3g}",
                  f"verified {report['verified']}  "
                  f"failures {len(report['failures'])}  "
@@ -269,7 +259,9 @@ def cmd_factor(args) -> int:
 
 def cmd_bound(args) -> int:
     p = _load_poly(args)
-    det = modulus_lower_bound_details(p, zero_set(p))
+    zs = zero_set(p)
+    det = modulus_lower_bound_details(p)
+    det["observed_max_modulus"] = zs.max_modulus()
     if args.format == "json":
         _emit(_json_text(det), args)
         return 0
@@ -282,13 +274,12 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _add_io_flags(sub, with_input=True):
-    if with_input:
-        g = sub.add_mutually_exclusive_group()
-        g.add_argument("--input", metavar="FILE",
-                       help="JSON file with the polynomial")
-        g.add_argument("--coeffs", metavar="JSON",
-                       help="inline JSON coefficient list, constant first")
+def _add_io_flags(sub):
+    g = sub.add_mutually_exclusive_group()
+    g.add_argument("--input", metavar="FILE",
+                   help="JSON file with the polynomial")
+    g.add_argument("--coeffs", metavar="JSON",
+                   help="inline JSON coefficient list, constant first")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--out", metavar="FILE",
                      help="write the report here instead of stdout")
@@ -312,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                                        "hull of the zeros; campaign mode "
                                        "without a polynomial")
     _add_io_flags(v)
-    v.add_argument("--seed", type=int, default=None,
-                   help="campaign seed; default from QL_SEED, else 0")
+    v.add_argument("--seed", type=int, default=0,
+                   help="campaign seed; default 0")
     v.add_argument("--trials", type=int, default=100,
                    help="campaign size when no polynomial is given")
     v.add_argument("--eps-hull", type=float, default=None,

@@ -20,7 +20,8 @@ from .qpoly import (QPoly, _symmetrized, horner, horner_scale,
                     restrict_to_slice, trim_rel)
 from .quaternion import I as UNIT_I, J as UNIT_J, K as UNIT_K, Quaternion
 from .roots import NumericalBreakdown, ZeroSet, _eigen_roots, zero_set
-from .tolerances import EPS_CAMPAIGN, EPS_HULL, TAU_SLICE_COMMON, TAU_ZERO
+from .tolerances import (EPS_CAMPAIGN, EPS_HULL, TAU_SLICE_COMMON, TAU_ZERO,
+                         _check_setting)
 
 _SQ3 = 1.0 / math.sqrt(3.0)
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -207,17 +208,21 @@ def slice_equivalence_check(p: QPoly, units=None,
 # coefficient bound
 
 
-def _coefficient_bound(p: QPoly) -> tuple[float, int, int]:
+def modulus_lower_bound_details(p: QPoly) -> dict:
     """Lower bound on the largest zero modulus from the coefficients of
     the symmetrization b_0 + ... + b_2m z^2m:
 
         max over 0 < n < 2m of (|b_{2m-n}| / (C(2m, n) |b_{2m}|))^(1/n)
 
-    Returns the bound, the n attaining it and 2m.
+    Returns the bound, the n attaining it and 2m; it finds no roots.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("bound needs a polynomial of degree >= 1")
     b = _symmetrized(p.parts)
+    if not b:   # trim_rel drops all: the largest |b_n| is inf, NaN or 0
+        raise NumericalBreakdown(
+            "symmetrization overflows or underflows the float range",
+            degree=p.degree, max_norm=max(p.norms))
     two_m = len(b) - 1
     lead = abs(b[-1])
     best, best_n = 0.0, 0
@@ -228,24 +233,12 @@ def _coefficient_bound(p: QPoly) -> tuple[float, int, int]:
         val = (num / (math.comb(two_m, n) * lead)) ** (1.0 / n)
         if val > best:
             best, best_n = val, n
-    return best, best_n, two_m
-
-
-def modulus_lower_bound_details(p: QPoly, zeros: ZeroSet) -> dict:
-    """The coefficient bound, with the largest zero modulus in zeros,
-    the zero set of p, for comparison."""
-    best, best_n, two_m = _coefficient_bound(p)
-    return {
-        "bound": best,
-        "n": best_n,
-        "sym_degree": two_m,
-        "observed_max_modulus": zeros.max_modulus(),
-    }
+    return {"bound": best, "n": best_n, "sym_degree": two_m}
 
 
 def modulus_lower_bound(p: QPoly) -> float:
-    """The coefficient bound alone; it finds no roots."""
-    return _coefficient_bound(p)[0]
+    """The coefficient bound alone."""
+    return modulus_lower_bound_details(p)["bound"]
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +291,11 @@ def run_verification_campaign(seed: int, trials: int,
     """
     if kind not in ("mixed", "factored", "real"):
         raise ValueError(f"unknown campaign kind {kind!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials!r}")
+    # checked here: the loop records a ValueError as a degenerate draw
+    _check_setting("eps_hull", eps_hull)
+    _check_setting("tau_zero", tau_zero)
     failures = []
     breakdowns = []
     for idx in range(trials):

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from .quaternion import Quaternion, TwoSphere, _direction_parts
 from .roots import NumericalBreakdown, ZeroSet
 from .tolerances import (EPS_HULL, TAU_FAN, TAU_GAP_REL, TAU_WEIGHT,
-                         TAU_WEIGHT_SUM, ULP)
+                         TAU_WEIGHT_SUM, ULP, _check_setting)
 
 _MAX_ITER = 200
 
@@ -618,6 +618,7 @@ def slice_route(zs: ZeroSet, eps_hull: float = EPS_HULL):
     quaternions."""
     if zs.is_empty():
         raise ValueError("membership in the hull of an empty zero set")
+    _check_setting("eps_hull", eps_hull)
     if not zs.is_points_and_spheres():
         points = [z.point for z in zs.isolated]
         spheres = [s.sphere for s in zs.spheres]
@@ -644,14 +645,3 @@ def slice_route(zs: ZeroSet, eps_hull: float = EPS_HULL):
         return HullCertificate(tuple(points), tuple([w for _, w in pairs]),
                                float(slack))
     return member
-
-
-def hull_membership_4d(q: Quaternion, points: list[Quaternion],
-                       eps_hull: float = EPS_HULL):
-    """Certificate, with at most five support points, that q is a convex
-    combination of the given points, or the exact distance from q to
-    their hull. Raises NumericalBreakdown when the collar lies within
-    the distance bracket the iteration could reach."""
-    if not points:
-        raise ValueError("membership in the hull of no points")
-    return _membership(q, points, [], eps_hull)

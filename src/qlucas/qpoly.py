@@ -149,13 +149,6 @@ class QPoly:
         """scale(P, q) = sum |a_n| (1 + |q|)^n, the residual yardstick."""
         return _magnitude_scale(self.norms, 1.0 + qnorm)
 
-    def to_json_dict(self) -> dict:
-        return {"coeffs": [list(c) for c in zip(*self.parts)]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QPoly":
-        return cls([Quaternion.from_list(c) for c in data["coeffs"]])
-
 
 def _qpoly(w, x, y, z, norms=None) -> QPoly:
     return QPoly.__new__(QPoly)._store(w, x, y, z, norms)

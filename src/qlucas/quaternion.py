@@ -30,11 +30,6 @@ class Quaternion:
         self.y = float(y)
         self.z = float(z)
 
-    @classmethod
-    def from_list(cls, values) -> "Quaternion":
-        w, x, y, z = values
-        return cls(w, x, y, z)
-
     def to_list(self) -> list[float]:
         return [self.w, self.x, self.y, self.z]
 

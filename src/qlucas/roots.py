@@ -14,7 +14,7 @@ from .quaternion import Quaternion, TwoSphere, _inverse_parts, _mul4, _norm4
 from .qpoly import (QPoly, _derivative, _kept, _magnitude_scale,
                     _sphere_parts, _symmetrized, _value, horner, horner_scale)
 from .tolerances import (CLUSTER_RADII, TAU_IM_SNAP, TAU_REACH, TAU_ROOT,
-                         TAU_UNIT, TAU_VALIDATE, TAU_ZERO, ULP)
+                         TAU_UNIT, TAU_VALIDATE, TAU_ZERO, ULP, _check_setting)
 
 _NEWTON_STEPS = 80
 
@@ -636,6 +636,7 @@ def zero_set(p: QPoly, tau_zero: float = TAU_ZERO) -> ZeroSet:
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("zero_set needs a polynomial of degree >= 1")
+    _check_setting("tau_zero", tau_zero)
     if p.is_real():
         return _zero_set_real(p, tau_zero)
 

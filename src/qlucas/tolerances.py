@@ -3,8 +3,16 @@
 Plain constants, imported by name where they decide. A run can set two
 decisions, the zero residual bound (tau_zero, `--tol-zero`) and the hull
 collar (eps_hull, `--eps-hull`); TAU_ZERO, EPS_HULL and EPS_CAMPAIGN are
-only their defaults. Iteration caps stay with their loops.
+only their defaults, and _check_setting rejects a NaN or negative
+setting where it enters. Iteration caps stay with their loops.
 """
+
+
+def _check_setting(name: str, value: float) -> None:
+    """ValueError unless value >= 0; 0 and inf are valid settings."""
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+
 
 # the spacing of doubles at 1, sys.float_info.epsilon
 ULP = 2.0 ** -52

@@ -122,34 +122,17 @@ def test_verify_campaign_text_agrees_with_json(capsys):
          f"distance {f['worst_distance']:.3g}" for f in failures[:10]]
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("QL_SEED", "11")
-    _, out_env, _ = run(capsys, "verify", "--trials", "15",
-                        "--format", "json")
-    assert json.loads(out_env)["seed"] == 11
-    # explicit flag wins over the environment
-    _, out_flag, _ = run(capsys, "verify", "--seed", "4", "--trials", "15",
-                         "--format", "json")
-    assert json.loads(out_flag)["seed"] == 4
-    monkeypatch.setenv("QL_SEED", "not-a-number")
-    code, _, err = run(capsys, "verify", "--trials", "5")
-    assert code == 2
-    assert "QL_SEED" in err
-
-
-def test_seed_is_a_campaign_flag(capsys, monkeypatch):
+def test_seed_is_a_campaign_flag(capsys):
     # one polynomial is verified without randomness: analyze takes no
-    # seed, and QL_SEED leaves the single-polynomial report unchanged
+    # seed, and the single-polynomial report names none
     assert run(capsys, "analyze", "--coeffs", QUADRATIC, "--seed", "1")[0] \
         == 2
-    monkeypatch.delenv("QL_SEED", raising=False)
     code, plain, _ = run(capsys, "verify", "--coeffs", VIOLATOR,
                          "--format", "json")
     assert code == 1
     assert "seed" not in json.loads(plain)
-    monkeypatch.setenv("QL_SEED", "7")
-    assert run(capsys, "verify", "--coeffs", VIOLATOR, "--format",
-               "json") == (1, plain, "")
+    _, out, _ = run(capsys, "verify", "--trials", "3", "--format", "json")
+    assert json.loads(out)["seed"] == 0
 
 
 def test_factor_json(capsys):
@@ -257,6 +240,44 @@ def test_usage_errors_exit_two(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err
+
+
+def one_error_line(err, prefix):
+    # one line, so no traceback
+    return err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("setting", [
+    ("--eps-hull", "-1"), ("--eps-hull", "nan"), ("--tol-zero", "nan"),
+    ("--tol-zero=-1e-8",),
+], ids=["eps-negative", "eps-nan", "tol-nan", "tol-negative"])
+@pytest.mark.parametrize("target", [
+    ("verify", "--coeffs", QUADRATIC), ("verify", "--trials", "3"),
+    ("analyze", "--coeffs", QUADRATIC),
+], ids=["verify", "campaign", "analyze"])
+def test_nan_or_negative_tolerance_exits_two(capsys, target, setting):
+    # at the README quadratic a negative or NaN collar put the critical
+    # point -i OUTSIDE its own hull, and a NaN tau_zero passed every zero
+    code, out, err = run(capsys, *target, *setting)
+    assert code == 2
+    assert out == ""
+    assert one_error_line(err, "error: "), err
+
+
+def test_negative_campaign_size_exits_two(capsys):
+    code, out, err = run(capsys, "verify", "--trials", "-5",
+                         "--format", "json")
+    assert (code, out) == (2, "")
+    assert one_error_line(err, "error: "), err
+
+
+@pytest.mark.parametrize("command", ["bound", "analyze"])
+def test_symmetrization_overflow_is_a_breakdown(capsys, command):
+    # P^s = 1 + 2e300 z + inf z^2, and trimming drops every entry
+    code, out, err = run(capsys, command, "--coeffs", "[1, 1e300]")
+    assert (code, out) == (3, "")
+    assert err == ("numerical breakdown: symmetrization overflows or "
+                   "underflows the float range\n")
 
 
 def test_argparse_paths(capsys):

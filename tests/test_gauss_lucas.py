@@ -145,11 +145,12 @@ def test_slice_equivalence_sees_the_violation_on_its_own_slice():
 
 def test_modulus_bound_linear_oracle():
     p = QPoly([Quaternion(-3.0, -4.0), Quaternion(1.0)])
-    det = modulus_lower_bound_details(p, zero_set(p))
+    det = modulus_lower_bound_details(p)
+    observed = zero_set(p).max_modulus()
     assert det["bound"] == pytest.approx(3.0, abs=1e-12, rel=0)
     assert det["sym_degree"] == 2
-    assert det["observed_max_modulus"] == pytest.approx(5.0, abs=1e-9, rel=0)
-    assert det["bound"] <= det["observed_max_modulus"] + 1e-8
+    assert observed == pytest.approx(5.0, abs=1e-9, rel=0)
+    assert det["bound"] <= observed + 1e-8
 
     rng = random.Random(11)
     for _ in range(50):
@@ -173,8 +174,7 @@ def test_modulus_bound_never_exceeds_largest_zero():
 def test_modulus_bound_finds_no_roots(monkeypatch):
     rng = random.Random(19)
     polys = [random_factored_poly(rng, (2, 5), 3.0) for _ in range(20)]
-    want = [modulus_lower_bound_details(p, zero_set(p))["bound"]
-            for p in polys]
+    want = [modulus_lower_bound_details(p)["bound"] for p in polys]
 
     def no_roots(*args, **kwargs):
         raise AssertionError("the coefficient bound called zero_set")
@@ -186,8 +186,8 @@ def test_modulus_bound_finds_no_roots(monkeypatch):
 def test_modulus_bound_quadratic_sphere():
     # q^2 + 1: symmetrization (q^2+1)^2, bound from the middle terms
     p = QPoly([1.0, 0.0, 1.0])
-    det = modulus_lower_bound_details(p, zero_set(p))
-    assert det["observed_max_modulus"] == pytest.approx(1.0, abs=1e-9, rel=0)
+    det = modulus_lower_bound_details(p)
+    assert zero_set(p).max_modulus() == pytest.approx(1.0, abs=1e-9, rel=0)
     assert det["bound"] <= 1.0 + 1e-12
 
 
@@ -228,6 +228,42 @@ def test_campaign_real_kind_always_verifies():
 def test_campaign_rejects_unknown_kind():
     with pytest.raises(ValueError):
         run_verification_campaign(seed=1, trials=5, kind="exotic")
+
+
+def test_campaign_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="trials"):
+        run_verification_campaign(seed=1, trials=-5)
+    assert run_verification_campaign(seed=1, trials=0)["verified"] == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+def test_nan_or_negative_settings_are_rejected(bad):
+    # a campaign would record each ValueError as a degenerate draw, so
+    # it checks its settings before the first trial
+    with pytest.raises(ValueError, match="eps_hull"):
+        verify_gauss_lucas(COUNTEREXAMPLE, eps_hull=bad)
+    with pytest.raises(ValueError, match="tau_zero"):
+        verify_gauss_lucas(COUNTEREXAMPLE, tau_zero=bad)
+    with pytest.raises(ValueError, match="tau_zero"):
+        zero_set(COUNTEREXAMPLE, bad)
+    with pytest.raises(ValueError, match="eps_hull"):
+        hull_membership_slice(I, zero_set(COUNTEREXAMPLE), bad)
+    for setting in ("eps_hull", "tau_zero"):
+        with pytest.raises(ValueError, match=setting):
+            run_verification_campaign(seed=1, trials=3, **{setting: bad})
+
+
+def test_a_zero_collar_is_a_valid_setting():
+    # tau_zero=inf is taken in test_roots.py
+    assert verify_gauss_lucas(COUNTEREXAMPLE, eps_hull=0.0).degree == 2
+
+
+def test_symmetrization_overflow_is_a_breakdown():
+    with pytest.raises(NumericalBreakdown) as ex:
+        modulus_lower_bound_details(QPoly([1.0, 1e300]))
+    assert str(ex.value) == ("symmetrization overflows or underflows the "
+                             "float range")
+    assert ex.value.info == {"degree": 1, "max_norm": 1e300}
 
 
 def seeded_verifications(count):

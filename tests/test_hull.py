@@ -20,8 +20,7 @@ from qlucas.factorization import (
     check_l_identity, fejer_riesz_factor, slice_symmetrization,
 )
 from qlucas.hull import (
-    HullCertificate, Outside, _planar, hull_membership_4d,
-    hull_membership_slice,
+    HullCertificate, Outside, _planar, hull_membership_slice,
 )
 from qlucas.qpoly import QPoly, restrict_to_slice
 from qlucas.quaternion import I, J, K, Quaternion, TwoSphere
@@ -211,16 +210,16 @@ def test_planar_hull_built_once_answers_as_per_query_formulas():
 
 def test_4d_singleton_and_pair():
     p = Quaternion(1, 2, 3, 4)
-    assert_sound(hull_membership_4d(p, [p], 1e-9), p, 1e-9)
-    out = hull_membership_4d(Quaternion(), [p], 1e-9)
+    assert_sound(hull._membership(p, [p], [], 1e-9), p, 1e-9)
+    out = hull._membership(Quaternion(), [p], [], 1e-9)
     assert isinstance(out, Outside)
     assert out.distance == pytest.approx(p.norm(), abs=1e-9, rel=0)
 
     a, b = Quaternion(0, 1, 0, 0), Quaternion(0, -1, 0, 0)
     mid = Quaternion(0, 0.2, 0, 0)
-    assert_sound(hull_membership_4d(mid, [a, b], 1e-9), mid, 1e-9)
+    assert_sound(hull._membership(mid, [a, b], [], 1e-9), mid, 1e-9)
     off = Quaternion(0.3, 0.2, 0, 0)
-    out = hull_membership_4d(off, [a, b], 1e-9)
+    out = hull._membership(off, [a, b], [], 1e-9)
     assert out.distance == pytest.approx(0.3, abs=1e-9, rel=0)
 
 
@@ -234,7 +233,7 @@ def test_4d_random_interior_points_certify():
         for wk, pk in zip(w, pts):
             q = q + (wk / tot) * pk
         eps = 1e-8 * (1.0 + q.norm())
-        cert = hull_membership_4d(q, pts, 1e-8)
+        cert = hull._membership(q, pts, [], 1e-8)
         assert_sound(cert, q, eps)
         # Caratheodory: at most dim + 1 support points
         assert len(cert.points) <= 5
@@ -245,15 +244,10 @@ def test_4d_exterior_points_report_distance():
     for _ in range(60):
         pts = [rand_q(rng, 1.0) for _ in range(rng.randint(1, 8))]
         far = Quaternion(10.0, 0, 0, 0)
-        out = hull_membership_4d(far, pts, 1e-8)
+        out = hull._membership(far, pts, [], 1e-8)
         assert isinstance(out, Outside)
         best = min((far - p).norm() for p in pts)
         assert 8.0 <= out.distance <= best + 1e-9
-
-
-def test_4d_empty_input_is_an_error():
-    with pytest.raises(ValueError):
-        hull_membership_4d(Quaternion(), [], 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +391,10 @@ def test_4d_duplicate_vertices_change_nothing():
     for _ in range(60):
         pts = [rand_q(rng, 2.0) for _ in range(rng.randint(1, 6))]
         q = rand_q(rng, 2.5)
-        want = hull_membership_4d(q, pts, 1e-8)
+        want = hull._membership(q, pts, [], 1e-8)
         for dup in (pts[0], pts[0] + Quaternion(1e-13, -1e-13, 1e-13, 0.0)):
             for more in (pts + [dup], [dup] + pts):
-                got = hull_membership_4d(q, more, 1e-8)
+                got = hull._membership(q, more, [], 1e-8)
                 assert type(got) is type(want)
                 if isinstance(want, Outside):
                     assert got.distance == pytest.approx(want.distance,
@@ -421,7 +415,7 @@ def test_own_hull_kernels_call_no_small_array_solver(monkeypatch):
     rng = random.Random(29)
     for _ in range(20):
         pts = [rand_q(rng, 2.0) for _ in range(rng.randint(1, 6))]
-        hull_membership_4d(rand_q(rng, 2.5), pts, 1e-8)
+        hull._membership(rand_q(rng, 2.5), pts, [], 1e-8)
     zs = points_and_spheres([3.0 * K], [(0.0, 1.0)])
     for q in (Quaternion(0, 2, 0, 2), Quaternion(0, 0.3, 0, 0.5)):
         hull_membership_slice(q, zs, 1e-9)
@@ -877,8 +871,8 @@ def test_slice_and_4d_routes_agree():
             q = Quaternion(q.w, q.x, 0.0, 0.0)   # stay on C(i)
             planar = hull_membership_slice(q, zs, 1e-8)
             # divide out the relative scaling so the collar is gap absolute
-            dense = hull_membership_4d(q, pts4,
-                                       1e-8 + gap / (1.0 + q.norm()))
+            dense = hull._membership(q, pts4, [],
+                                     1e-8 + gap / (1.0 + q.norm()))
             if isinstance(planar, HullCertificate):
                 # the sampled hull is thinner, never thicker
                 if isinstance(dense, Outside):

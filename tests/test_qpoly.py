@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlucas import qpoly as qpoly_mod
+from qlucas.cli import _poly_from_obj
 from qlucas.quaternion import (
     I, J, K, Quaternion, _norm4, random_unit_imaginary,
 )
@@ -259,9 +260,10 @@ def test_is_real_takes_exact_zeros_without_norms(monkeypatch):
 
 
 def test_json_roundtrip():
+    # the CLI reads the {"coeffs": [[w, x, y, z], ...]} format
     p = QPoly([J, I, Quaternion(0.5, 1, 2, 3)])
-    blob = json.dumps(p.to_json_dict())
-    back = QPoly.from_json_dict(json.loads(blob))
+    blob = json.dumps({"coeffs": [c.to_list() for c in p.coeffs]})
+    back = _poly_from_obj(json.loads(blob))
     assert back == p
 
 

@@ -40,7 +40,7 @@ def test_scalar_and_complex_coercion():
 
 def test_list_roundtrip_and_repr():
     q = Quaternion(0.5, -1.0, 2.0, -3.5)
-    assert Quaternion.from_list(q.to_list()) == q
+    assert Quaternion(*q.to_list()) == q
     assert "Quaternion" in repr(q)
 
 
