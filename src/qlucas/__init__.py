@@ -14,6 +14,7 @@ from .quaternion import (
     random_unit_imaginary,
 )
 from .qpoly import (
+    NumericalBreakdown,
     QPoly,
     SlicePoly,
     pointwise_star_eval,
@@ -22,7 +23,6 @@ from .qpoly import (
 )
 from .roots import (
     IsolatedZero,
-    NumericalBreakdown,
     SphereZero,
     ZeroSet,
     critical_points,

@@ -23,7 +23,7 @@ from .qpoly import QPoly, _symmetrized, restrict_to_slice
 from .quaternion import (I as UNIT_I, J as UNIT_J, K as UNIT_K, Quaternion,
                          imag_direction)
 from .roots import NumericalBreakdown, critical_points, zero_set
-from .tolerances import EPS_CAMPAIGN, EPS_HULL, TAU_ZERO
+from .tolerances import EPS_CAMPAIGN, EPS_HULL, TAU_ZERO, _check_setting
 
 
 class CLIError(Exception):
@@ -146,6 +146,7 @@ def _check_lines(checks) -> list[str]:
 def cmd_analyze(args) -> int:
     p = _load_poly(args)
     eps = args.eps_hull if args.eps_hull is not None else EPS_HULL
+    _check_setting("eps_hull", eps)     # degree 1 runs no verification
     zs = zero_set(p, args.tol_zero)
     bound = modulus_lower_bound_details(p)
     bound["observed_max_modulus"] = zs.max_modulus()

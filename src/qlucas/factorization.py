@@ -59,13 +59,16 @@ def fejer_riesz_factor(q_coeffs) -> MFactor:
     degree, a nonpositive leading coefficient, or an odd real root
     multiplicity all mean Q takes negative values and there is no such
     factorization. Q must be real from the bits: any nonzero imaginary
-    part, however small, is a ValueError.
+    part, however small, is a ValueError, and so is an inf or NaN.
     """
     q = [complex(c) for c in q_coeffs]
     if not any(q):
         raise ValueError("cannot factor the zero polynomial")
     if any(c.imag for c in q):
         raise ValueError("factorization input must have real coefficients")
+    for n, c in enumerate(q):
+        if not math.isfinite(c.real):
+            raise ValueError(f"coefficient {n} is not finite: {c.real!r}")
     q = trim_rel([c.real for c in q])
 
     if len(q) == 1:

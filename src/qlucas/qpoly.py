@@ -28,6 +28,15 @@ from .quaternion import (Quaternion, _coerce, _mul4, _norm4, _parts,
 from .tolerances import TAU_STAR_ZERO, TAU_TRIM_REL
 
 
+class NumericalBreakdown(RuntimeError):
+    """A numeric step violated an invariant that exact arithmetic
+    guarantees. Carries diagnostics in .info."""
+
+    def __init__(self, message: str, **info):
+        super().__init__(message)
+        self.info = info
+
+
 class QPoly:
     """Dense ascending-degree quaternionic polynomial.
 
@@ -175,13 +184,20 @@ def _symmetrized(parts) -> list[float]:
     in star_mul's order (s outer, k inner), so it is bit for bit the real
     part of star_mul(P, P^c). The norm of a real coefficient is its
     magnitude: sqrt(c * c) == |c| in binary floating point, and
-    math.hypot(c, 0, 0, 0) == |c| outside the range of the square."""
+    math.hypot(c, 0, 0, 0) == |c| outside the range of the square. Only
+    here does P^s leave the float range: for a nonzero P, an inf or NaN,
+    or nothing left after the trim, is a NumericalBreakdown."""
     cs = list(zip(*parts))
     out = [0.0] * max(2 * len(cs) - 1, 0)
     for s, (aw, ax, ay, az) in enumerate(cs):
         for n, (bw, bx, by, bz) in enumerate(cs, s):
             out[n] += aw * bw + ax * bx + ay * by + az * bz
-    return trim_rel(out)
+    kept = trim_rel(out)
+    if not (kept and all(map(math.isfinite, out))) and any(map(any, parts)):
+        raise NumericalBreakdown(
+            "symmetrization overflows or underflows the float range",
+            degree=len(cs) - 1, max_norm=max(map(_norm4, *parts)))
+    return kept
 
 
 def horner(coeffs: Sequence[complex], z: complex) -> complex:

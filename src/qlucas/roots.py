@@ -11,21 +11,13 @@ import threading
 from dataclasses import dataclass
 
 from .quaternion import Quaternion, TwoSphere, _inverse_parts, _mul4, _norm4
-from .qpoly import (QPoly, _derivative, _kept, _magnitude_scale,
-                    _sphere_parts, _symmetrized, _value, horner, horner_scale)
+from .qpoly import (NumericalBreakdown, QPoly, _derivative, _kept,
+                    _magnitude_scale, _sphere_parts, _symmetrized, _value,
+                    horner, horner_scale)
 from .tolerances import (CLUSTER_RADII, TAU_IM_SNAP, TAU_REACH, TAU_ROOT,
                          TAU_UNIT, TAU_VALIDATE, TAU_ZERO, ULP, _check_setting)
 
 _NEWTON_STEPS = 80
-
-
-class NumericalBreakdown(RuntimeError):
-    """A numeric step violated an invariant that exact arithmetic
-    guarantees. Carries diagnostics in .info."""
-
-    def __init__(self, message: str, **info):
-        super().__init__(message)
-        self.info = info
 
 
 class _derivs:
@@ -325,14 +317,14 @@ def _eigen_roots(c: list) -> list[complex]:
     and without its fixed overhead: the eigenvalues of the same
     companion matrix, from the same LAPACK routine (xGEEV), then one
     zero root per zero constant term. The two checks of the
-    np.linalg.eigvals wrapper are kept: a non-finite companion row and
-    non-convergence raise its LinAlgError.
+    np.linalg.eigvals wrapper are kept, with its messages: a non-finite
+    companion row and non-convergence are a NumericalBreakdown.
 
     A real list has its companion row divided out in Python floats,
     the same IEEE operations as numpy's, and takes dgeev from the
     OpenBLAS that numpy's wheel bundles (_bundled_dgeev), called through
-    ctypes on numpy's inputs (_bundled_eigvals): it imports numpy only
-    to raise. A complex list (gauss_lucas._slice_critical), or a numpy
+    ctypes on numpy's inputs (_bundled_eigvals), without importing
+    numpy. A complex list (gauss_lucas._slice_critical), or a numpy
     that bundles no such library, takes numpy's gufunc instead
     (_gufunc_eigvals)."""
     k = 0
@@ -347,16 +339,11 @@ def _eigen_roots(c: list) -> list[complex]:
     else:
         row = [-v / lead for v in reversed(c[k:-1])]
         if not all(map(math.isfinite, row)):
-            raise _linalg_error("Array must not contain infs or NaNs")
+            raise NumericalBreakdown("Array must not contain infs or NaNs")
         dgeev = _bundled_dgeev()
         out = (_gufunc_eigvals(c, k, n, row) if dgeev is None
                else _bundled_eigvals(dgeev, row))
     return out + [0j] * k
-
-
-def _linalg_error(message: str) -> Exception:
-    from numpy.linalg import LinAlgError
-    return LinAlgError(message)
 
 
 @functools.cache
@@ -432,7 +419,7 @@ def _workspace(dgeev, n: int) -> tuple:
             addr(unused), addr(one), addr(query), addr(lwork), addr(info)]
     dgeev(*args)
     if info.value:
-        raise _linalg_error("Eigenvalues did not converge")
+        raise NumericalBreakdown("Eigenvalues did not converge")
     lwork.value = int(query.value)
     work = (ctypes.c_double * lwork.value)()
     args[11] = addr(work)
@@ -453,7 +440,7 @@ def _bundled_eigvals(dgeev, row: list) -> list[complex]:
     a_view[::n] = row
     dgeev(*args)
     if info.value:
-        raise _linalg_error("Eigenvalues did not converge")
+        raise NumericalBreakdown("Eigenvalues did not converge")
     return list(map(complex, wr, wi))
 
 
@@ -475,7 +462,7 @@ def _gufunc_eigvals(c: list, k: int, n: int, row) -> list[complex]:
             a = np.eye(n, k=-1, dtype=complex)
             a[0] = -np.array(c[k:-1][::-1]) / c[-1]
             if not np.isfinite(a[0]).all():
-                raise _linalg_error("Array must not contain infs or NaNs")
+                raise NumericalBreakdown("Array must not contain infs or NaNs")
             sig = "D->D"
         else:
             a = np.eye(n, k=-1)
@@ -483,7 +470,7 @@ def _gufunc_eigvals(c: list, k: int, n: int, row) -> list[complex]:
             sig = "d->D"
         out = _lapack_eigvals()(a, signature=sig).tolist()
     if any(z != z for z in out):
-        raise _linalg_error("Eigenvalues did not converge")
+        raise NumericalBreakdown("Eigenvalues did not converge")
     return out
 
 

@@ -280,6 +280,38 @@ def test_symmetrization_overflow_is_a_breakdown(capsys, command):
                    "underflows the float range\n")
 
 
+# P^s holds inf, inf and NaN, or only zeros from underflow
+OUT_OF_RANGE = ["[1, 1e300]", "[1, 0, 1e300]", "[1e200, 1e200, -1e200]",
+                "[[1,0,0,0],[0,1e300,0,0]]", "[1e-170, 1e-170, 1e-170]"]
+
+
+@pytest.mark.parametrize("coeffs", OUT_OF_RANGE)
+@pytest.mark.parametrize("command", ["analyze", "verify", "bound", "factor"])
+def test_every_command_reports_the_symmetrization_breakdown(capsys, command,
+                                                            coeffs):
+    code, out, err = run(capsys, command, "--coeffs", coeffs)
+    if command == "verify" and len(json.loads(coeffs)) == 2:
+        # degree 1: a usage error before any P^s is formed
+        assert (code, out) == (2, "")
+        assert err == ("error: verification needs a polynomial of "
+                       "degree >= 2\n")
+        return
+    assert (code, out) == (3, "")
+    assert err == ("numerical breakdown: symmetrization overflows or "
+                   "underflows the float range\n")
+
+
+@pytest.mark.parametrize("collar", ["nan", "-1"])
+@pytest.mark.parametrize("coeffs", ["[1, 1]", "[1, 1, 1]"],
+                         ids=["degree-1", "degree-2"])
+def test_analyze_checks_the_collar_on_every_degree(capsys, coeffs, collar):
+    code, out, err = run(capsys, "analyze", "--coeffs", coeffs,
+                         "--eps-hull", collar)
+    assert (code, out) == (2, "")
+    assert err == (f"error: eps_hull must be a number >= 0, "
+                   f"got {float(collar)!r}\n")
+
+
 def test_argparse_paths(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "frobnicate")[0] == 2

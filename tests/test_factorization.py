@@ -103,6 +103,19 @@ def test_factor_rejects_impossible_inputs():
         fejer_riesz_factor([0.0])
 
 
+@pytest.mark.parametrize("q, n, bad", [
+    ([1.0, math.inf, 1.0], 1, math.inf), ([math.inf], 0, math.inf),
+    ([4.0, 0.0, math.inf], 2, math.inf), ([1.0, math.nan, 1.0], 1, math.nan),
+    ([1.0, 0.0, -math.inf], 2, -math.inf),
+])
+def test_factor_rejects_a_non_finite_coefficient(q, n, bad):
+    # the relative trim drops every entry below an infinite largest one,
+    # and the empty list read as the odd degree -1
+    with pytest.raises(ValueError) as ex:
+        fejer_riesz_factor(q)
+    assert str(ex.value) == f"coefficient {n} is not finite: {bad!r}"
+
+
 def test_product_residual_breakdown(monkeypatch):
     q = [1.0, 0.0, 1.0, 0.0, 0.25]
     residual = fejer_riesz_factor(q).residual

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from qlucas import gauss_lucas, hull
+from qlucas.factorization import slice_symmetrization
 from qlucas.gauss_lucas import (
     modulus_lower_bound, modulus_lower_bound_details, random_factored_poly,
     random_real_poly, run_verification_campaign, slice_equivalence_check,
     verify_gauss_lucas, verify_real_case,
 )
 from qlucas.hull import HullCertificate, Outside, hull_membership_slice
-from qlucas.qpoly import QPoly
+from qlucas.qpoly import QPoly, restrict_to_slice
 from qlucas.quaternion import (
     I, J, K, Quaternion, imag_direction, random_unit_imaginary,
 )
@@ -264,6 +265,35 @@ def test_symmetrization_overflow_is_a_breakdown():
     assert str(ex.value) == ("symmetrization overflows or underflows the "
                              "float range")
     assert ex.value.info == {"degree": 1, "max_norm": 1e300}
+
+
+@pytest.mark.parametrize("route", [
+    QPoly.symmetrize,
+    lambda p: slice_symmetrization(restrict_to_slice(p, I)),
+    zero_set, verify_gauss_lucas, modulus_lower_bound_details,
+], ids=["symmetrize", "slice_symmetrization", "zero_set",
+        "verify_gauss_lucas", "modulus_lower_bound_details"])
+@pytest.mark.parametrize("coeffs, info", [
+    # P is not real, so zero_set forms P^s, and P' is, so verification
+    # roots P' without it; P^s holds inf, NaN or only underflowed zeros
+    ([Quaternion(0.0, 0.0, 1e200), 1e200, 1e200],
+     {"degree": 2, "max_norm": 1e200}),
+    ([Quaternion(1e200, 0.0, 1e200), 1e200, -1e200],
+     {"degree": 2, "max_norm": math.hypot(1e200, 1e200)}),
+    ([Quaternion(0.0, 0.0, 1e-170), 1e-170, 1e-170],
+     {"degree": 2, "max_norm": 1e-170}),
+], ids=["inf", "nan", "underflow"])
+def test_every_route_to_the_symmetrization_breaks_down(route, coeffs, info):
+    with pytest.raises(NumericalBreakdown) as ex:
+        route(QPoly(coeffs))
+    assert str(ex.value) == ("symmetrization overflows or underflows the "
+                             "float range")
+    assert ex.value.info == info
+
+
+def test_the_zero_polynomial_symmetrizes_to_zero():
+    assert QPoly().symmetrize().is_zero
+    assert slice_symmetrization(restrict_to_slice(QPoly(), I)) == []
 
 
 def seeded_verifications(count):

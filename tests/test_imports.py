@@ -1,5 +1,6 @@
 """Every name that a module of qlucas imports is read in that module.
-__init__.py is exempt: it imports names to re-export them."""
+__init__.py is exempt: it imports names to re-export them. numpy is
+imported only by the gufunc fallback of root finding."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,39 @@ def test_a_stale_import_is_found():
                            "from .tolerances import (TAU_COEFF_REAL, ", 1)
     assert stale != source
     assert [name for _, name in unread_imports(stale)] == ["TAU_COEFF_REAL"]
+
+
+# the gufunc fallback of roots._eigen_roots: complex companions, and a
+# numpy that bundles no dgeev
+NUMPY_FALLBACK = {("roots.py", "_lapack_eigvals"),
+                  ("roots.py", "_gufunc_eigvals")}
+
+
+def numpy_importers(source: str) -> set:
+    """The names of the functions that import numpy or a submodule of
+    it, None for an import outside any function."""
+    found = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(n.partition(".")[0] == "numpy" for n in names):
+                found.add(func)
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_numpy_is_imported_only_by_the_gufunc_fallback():
+    found = {(path.name, func) for path in sorted(PACKAGE.glob("*.py"))
+             for func in numpy_importers(path.read_text())}
+    assert found == NUMPY_FALLBACK

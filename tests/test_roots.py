@@ -3,6 +3,7 @@ import ctypes
 import json
 import math
 import random
+import subprocess
 import sys
 import threading
 import warnings
@@ -633,11 +634,12 @@ def test_root_finding_calls_no_numpy_root_wrapper(monkeypatch):
 
 
 def test_eigen_roots_keeps_the_wrapper_checks(monkeypatch):
-    """Both LinAlgError messages of np.linalg.eigvals, on numpy's gufunc
-    (the route of a complex list, and of every list when the library
-    lookup finds nothing; a stand-in gives the NaN output that reports
-    non-convergence) and on the bundled dgeev (a stand-in that wraps
-    the real routine sets INFO > 0)."""
+    """Both checks of np.linalg.eigvals, with its messages, raised as a
+    NumericalBreakdown: on numpy's gufunc (the route of a complex list,
+    and of every list when the library lookup finds nothing; a stand-in
+    gives the NaN output that reports non-convergence) and on the
+    bundled dgeev (a stand-in that wraps the real routine sets
+    INFO > 0)."""
     dgeev = roots_mod._bundled_dgeev()
 
     def nan_output(a, signature):
@@ -660,19 +662,67 @@ def test_eigen_roots_keeps_the_wrapper_checks(monkeypatch):
                       [1.0, 1e300, 1e-300]):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    with pytest.raises(np.linalg.LinAlgError,
+                    with pytest.raises(NumericalBreakdown,
                                        match="Array must not contain infs"):
                         roots_mod._eigen_roots(c)
             for c in cases:
                 roots_mod._eigen_roots(c)   # builds the workspaces
             m.setattr(roots_mod, name, lambda: unconverged)
             for c in cases:
-                with pytest.raises(np.linalg.LinAlgError,
+                with pytest.raises(NumericalBreakdown,
                                    match="Eigenvalues did not converge"):
                     roots_mod._eigen_roots(c)
     # the workspace the stand-in wrote INFO into still serves
     assert (repr(roots_mod._eigen_roots([6.0, -5.0, 1.0]))
             == repr([complex(z) for z in np.roots([1.0, -5.0, 6.0])]))
+
+
+_UNCONVERGED = """
+import ctypes, json, sys
+from qlucas import roots
+from qlucas.gauss_lucas import run_verification_campaign
+from qlucas.qpoly import QPoly
+from qlucas.quaternion import I, J
+
+dgeev = roots._bundled_dgeev()
+if dgeev is None:
+    print("null")
+    sys.exit()
+
+
+def info_positive(*args):
+    dgeev(*args)
+    ctypes.c_int64.from_address(args[-1]).value = 1   # INFO
+
+
+roots._bundled_dgeev = lambda: info_positive
+try:
+    roots.zero_set(QPoly([J, I, 0.5]))
+except roots.NumericalBreakdown as ex:
+    raised = [str(ex), ex.info]
+report = run_verification_campaign(1, 3)
+print(json.dumps({"zero_set": raised, "breakdowns": report["breakdowns"],
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_lapack_failure_is_a_breakdown_without_numpy():
+    """An eigenvalue search that does not converge on the bundled dgeev
+    (a stand-in that wraps the real routine sets INFO > 0) is a
+    NumericalBreakdown, which a campaign lists under its breakdowns, and
+    raising it imports no numpy: a fresh interpreter, where nothing else
+    has imported it."""
+    proc = subprocess.run([sys.executable, "-c", _UNCONVERGED],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    if got is None:
+        pytest.skip("numpy bundles no dgeev")
+    reason = "Eigenvalues did not converge"
+    assert got["zero_set"] == [reason, {}]
+    assert [(b["trial"], b["reason"]) for b in got["breakdowns"]] == [
+        (t, reason) for t in range(3)]
+    assert got["numpy"] is False
 
 
 def test_eigen_roots_threads_keep_their_own_buffers():
