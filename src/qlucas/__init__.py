@@ -48,7 +48,6 @@ from .gauss_lucas import (
     random_quaternion_ball,
     random_real_poly,
     run_verification_campaign,
-    slice_equivalence_check,
     verify_gauss_lucas,
     verify_real_case,
 )
@@ -66,7 +65,7 @@ __all__ = [
     "MFactor", "fejer_riesz_factor", "check_l_identity",
     "slice_symmetrization",
     "GLReport", "CriticalPointCheck", "verify_gauss_lucas",
-    "verify_real_case", "slice_equivalence_check",
+    "verify_real_case",
     "modulus_lower_bound", "modulus_lower_bound_details",
     "random_quaternion_ball", "random_factored_poly", "random_real_poly",
     "run_verification_campaign",

@@ -9,29 +9,11 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .hull import (
-    HullCertificate,
-    Outside,
-    _planar,
-    planar_points,
-    slice_route,
-)
-from .qpoly import (QPoly, _symmetrized, horner, horner_scale,
-                    restrict_to_slice, trim_rel)
-from .quaternion import I as UNIT_I, J as UNIT_J, K as UNIT_K, Quaternion
-from .roots import NumericalBreakdown, ZeroSet, _eigen_roots, zero_set
-from .tolerances import (EPS_CAMPAIGN, EPS_HULL, TAU_SLICE_COMMON, TAU_ZERO,
-                         _check_setting)
-
-_SQ3 = 1.0 / math.sqrt(3.0)
-_SQ2 = 1.0 / math.sqrt(2.0)
-_DEFAULT_SLICE_UNITS = (
-    UNIT_I,
-    UNIT_J,
-    UNIT_K,
-    Quaternion(0.0, _SQ3, _SQ3, _SQ3),
-    Quaternion(0.0, _SQ2, 0.0, -_SQ2),
-)
+from .hull import HullCertificate, Outside, slice_route
+from .qpoly import QPoly, _symmetrized
+from .quaternion import Quaternion
+from .roots import NumericalBreakdown, ZeroSet, zero_set
+from .tolerances import EPS_CAMPAIGN, EPS_HULL, TAU_ZERO, _check_setting
 
 
 @dataclass(frozen=True)
@@ -143,65 +125,6 @@ def verify_real_case(p: QPoly, eps_hull: float = EPS_HULL,
     if not p.is_real():
         raise ValueError("verify_real_case needs real coefficients")
     return _verify(p, lambda q: q, eps_hull, tau_zero)
-
-
-# ---------------------------------------------------------------------------
-# slice-by-slice cross-check
-
-
-def _slice_critical(sp) -> list[complex]:
-    """Common roots of the two component derivatives on the slice."""
-    d = sp.derivative()
-    d1, d2 = trim_rel(d.p1), trim_rel(d.p2)
-    primary, other = (d1, d2) if len(d1) >= len(d2) else (d2, d1)
-    if len(primary) < 2:
-        return []
-    out = []
-    for z in _eigen_roots(primary):
-        if not other or (abs(horner(other, z))
-                         <= TAU_SLICE_COMMON * horner_scale(other, abs(z))):
-            out.append(z)
-    out.sort(key=lambda w: (w.real, w.imag))
-    return out
-
-
-def slice_equivalence_check(p: QPoly, units=None,
-                            eps_hull: float = EPS_HULL,
-                            tau_zero: float = TAU_ZERO) -> dict:
-    """Cross-check the verification slice by slice.
-
-    On each sampled slice the critical points are the common roots of
-    the derivatives of the two slice components, and the hull is the
-    planar hull of the real zeros and the sphere trace points x +- iy.
-    The per-slice verdicts must agree with verify_gauss_lucas.
-    """
-    if p.is_zero or p.degree < 2:
-        raise ValueError("slice check needs a polynomial of degree >= 2")
-    if units is None:
-        units = _DEFAULT_SLICE_UNITS
-    reference = verify_gauss_lucas(p, eps_hull, tau_zero)
-    planar = _planar(planar_points(reference.zeros))
-    slices = []
-    all_inside = True
-    for u in units:
-        sp = restrict_to_slice(p, u)
-        crits = _slice_critical(sp)
-        inside = True
-        worst = 0.0
-        for z in crits:
-            res = planar(z, eps_hull * (1.0 + abs(z)))
-            if isinstance(res, Outside):
-                inside = False
-                worst = max(worst, res.distance)
-        all_inside = all_inside and inside
-        slices.append({"unit": u.to_list(), "critical_count": len(crits),
-                       "inside": inside, "worst_distance": worst})
-    return {
-        "slices": slices,
-        "all_slices_inside": all_inside,
-        "reference_verified": reference.verified,
-        "consistent": all_inside == reference.verified,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -268,9 +268,6 @@ def _root_clusters(coeffs: list[float]) -> list:
     (_newton) and its residual is the float Horner value."""
     c = [a + 0.0 for a in coeffs]
     mags = list(map(abs, c))
-    if not all(map(math.isfinite, mags)):
-        n, a = next((n, a) for n, a in enumerate(c) if not math.isfinite(a))
-        raise ValueError(f"coefficient {n} is not finite: {a!r}")
     deg = _kept(mags) - 1
     if deg < 1:
         raise ValueError("root finding needs degree >= 1 after trimming")
@@ -312,37 +309,32 @@ def _root_clusters(coeffs: list[float]) -> list:
     return found
 
 
-def _eigen_roots(c: list) -> list[complex]:
-    """np.roots(c[::-1]) for ascending c with c[-1] != 0, bit for bit
-    and without its fixed overhead: the eigenvalues of the same
-    companion matrix, from the same LAPACK routine (xGEEV), then one
+def _eigen_roots(c: list[float]) -> list[complex]:
+    """np.roots(c[::-1]) for ascending real c with c[-1] != 0, bit for
+    bit and without its fixed overhead: the eigenvalues of the same
+    companion matrix, from the same LAPACK routine (dgeev), then one
     zero root per zero constant term. The two checks of the
     np.linalg.eigvals wrapper are kept, with its messages: a non-finite
     companion row and non-convergence are a NumericalBreakdown.
 
-    A real list has its companion row divided out in Python floats,
-    the same IEEE operations as numpy's, and takes dgeev from the
-    OpenBLAS that numpy's wheel bundles (_bundled_dgeev), called through
-    ctypes on numpy's inputs (_bundled_eigvals), without importing
-    numpy. A complex list (gauss_lucas._slice_critical), or a numpy
-    that bundles no such library, takes numpy's gufunc instead
-    (_gufunc_eigvals)."""
+    The companion row is divided out in Python floats, the same IEEE
+    operations as numpy's, and goes to dgeev from the OpenBLAS that
+    numpy's wheel bundles (_bundled_dgeev), called through ctypes on
+    numpy's inputs (_bundled_eigvals), without importing numpy. Only
+    when that lookup finds no library does numpy's gufunc root the
+    matrix (_gufunc_eigvals)."""
     k = 0
     while c[k] == 0:
         k += 1
-    n = len(c) - 1 - k
-    if n == 0:
+    if k == len(c) - 1:
         return [0j] * k
     lead = c[-1]
-    if isinstance(lead, complex):
-        out = _gufunc_eigvals(c, k, n, None)
-    else:
-        row = [-v / lead for v in reversed(c[k:-1])]
-        if not all(map(math.isfinite, row)):
-            raise NumericalBreakdown("Array must not contain infs or NaNs")
-        dgeev = _bundled_dgeev()
-        out = (_gufunc_eigvals(c, k, n, row) if dgeev is None
-               else _bundled_eigvals(dgeev, row))
+    row = [-v / lead for v in reversed(c[k:-1])]
+    if not all(map(math.isfinite, row)):
+        raise NumericalBreakdown("Array must not contain infs or NaNs")
+    dgeev = _bundled_dgeev()
+    out = (_gufunc_eigvals(row) if dgeev is None
+           else _bundled_eigvals(dgeev, row))
     return out + [0j] * k
 
 
@@ -451,24 +443,16 @@ def _lapack_eigvals():
     return eigvals
 
 
-def _gufunc_eigvals(c: list, k: int, n: int, row) -> list[complex]:
-    """The eigenvalues from numpy's gufunc, called directly, as the
-    wrapper costs more than LAPACK on small matrices: of the complex
-    companion of c when row is None, else of the real one with first
-    row row. A NaN output is how the gufunc reports non-convergence."""
+def _gufunc_eigvals(row: list[float]) -> list[complex]:
+    """The eigenvalues of the real companion matrix with first row row,
+    from numpy's gufunc, called directly, as the wrapper costs more than
+    LAPACK on small matrices. A NaN output is how the gufunc reports
+    non-convergence."""
     import numpy as np
     with np.errstate(all="ignore"):
-        if row is None:
-            a = np.eye(n, k=-1, dtype=complex)
-            a[0] = -np.array(c[k:-1][::-1]) / c[-1]
-            if not np.isfinite(a[0]).all():
-                raise NumericalBreakdown("Array must not contain infs or NaNs")
-            sig = "D->D"
-        else:
-            a = np.eye(n, k=-1)
-            a[0] = row
-            sig = "d->D"
-        out = _lapack_eigvals()(a, signature=sig).tolist()
+        a = np.eye(len(row), k=-1)
+        a[0] = row
+        out = _lapack_eigvals()(a, signature="d->D").tolist()
     if any(z != z for z in out):
         raise NumericalBreakdown("Eigenvalues did not converge")
     return out

@@ -98,6 +98,3 @@ TAU_FAN = 1e-9
 TAU_FACTOR = 1e-8
 # default relative tolerance of the sampled identity in check_l_identity
 TAU_L_IDENTITY = 1e-8
-# a root of one slice-component derivative is common to both when the
-# other is within this of its magnitude bound
-TAU_SLICE_COMMON = 1e-8

@@ -13,7 +13,7 @@ from qlucas.factorization import (
 )
 from qlucas.qpoly import QPoly, horner, restrict_to_slice
 from qlucas.quaternion import I, J, Quaternion, random_unit_imaginary
-from qlucas.roots import NumericalBreakdown, _eigen_roots, _root_clusters
+from qlucas.roots import NumericalBreakdown, _root_clusters
 
 
 def hermitian_square(p1, p2=()):
@@ -70,7 +70,7 @@ def test_factor_roots_live_in_the_closed_upper_half_plane():
         m = fejer_riesz_factor(q)
         assert m.residual <= 1e-8
         if m.degree >= 1:
-            for z in _eigen_roots(list(m.m_coeffs)):
+            for z in np.roots(m.m_coeffs[::-1]):
                 assert z.imag >= -1e-7
 
 

@@ -44,8 +44,8 @@ def test_a_stale_import_is_found():
     assert [name for _, name in unread_imports(stale)] == ["TAU_COEFF_REAL"]
 
 
-# the gufunc fallback of roots._eigen_roots: complex companions, and a
-# numpy that bundles no dgeev
+# the gufunc fallback of roots._eigen_roots, which roots every companion
+# matrix when the library lookup finds no bundled dgeev
 NUMPY_FALLBACK = {("roots.py", "_lapack_eigvals"),
                   ("roots.py", "_gufunc_eigvals")}
 
