@@ -2,7 +2,13 @@
 and the sampled check of the slice product identity. The kernels run on
 lists of Python complex numbers, with one convolution for every product,
 and slice_symmetrization takes P^s from qpoly._symmetrized. P^s and the
-product M conj(M(conj z)) are returned as lists of floats."""
+product M conj(M(conj z)) are returned as lists of floats.
+
+fejer_riesz_factor takes the eigenvalues of Q once. When none of them
+lies near the real axis, M is the product over the upper ones, with no
+clustering or polishing; otherwise the cluster ladder of
+roots._root_clusters decides the real multiplicities. Either way the
+product residual against Q is the acceptance test."""
 
 from __future__ import annotations
 
@@ -12,8 +18,10 @@ from itertools import zip_longest
 
 from .qpoly import (SlicePoly, _derivative, _magnitude_scale, _symmetrized,
                     horner, trim_rel)
-from .roots import NumericalBreakdown, _root_clusters
-from .tolerances import TAU_FACTOR, TAU_L_IDENTITY
+from .roots import (NumericalBreakdown, _eigen_roots, _one_per_pair,
+                    _root_clusters)
+from .tolerances import (CLUSTER_RADII, TAU_FACTOR, TAU_L_IDENTITY,
+                         _check_setting)
 
 
 def _mul(a, b) -> list:
@@ -51,15 +59,38 @@ def fejer_riesz_factor(q_coeffs) -> MFactor:
     """Factor a real polynomial that is nonnegative on the real axis as
     Q(z) = M(z) * conj(M(conj(z))) with deg M = deg Q / 2.
 
-    M collects the positive-imaginary member of every conjugate root
-    pair at full multiplicity and half of every (necessarily even) real
-    root multiplicity, scaled by sqrt of the leading coefficient. Those
-    are the roots on the closed upper half-plane, the ones _root_clusters
-    gives, sorted by real then imaginary part. Odd
-    degree, a nonpositive leading coefficient, or an odd real root
-    multiplicity all mean Q takes negative values and there is no such
+    M is sqrt of the leading coefficient times the product of z - r
+    over the roots r of Q on the closed upper half-plane: the
+    positive-imaginary member of every conjugate root pair at full
+    multiplicity and half of every (necessarily even) real root
+    multiplicity, sorted by real then imaginary part. Odd degree, a
+    nonpositive leading coefficient, or an odd real root multiplicity
+    all mean Q takes negative values and there is no such
     factorization. Q must be real from the bits: any nonzero imaginary
     part, however small, is a ValueError, and so is an inf or NaN.
+
+    The roots come from the companion eigenvalues of Q, taken once
+    (roots._eigen_roots, one per conjugate pair by _one_per_pair), by
+    one of two routes:
+
+    - eigenvalue route: when every eigenvalue z has
+      2 Im z > CLUSTER_RADII[0] (1 + |z|), the mirror-link test of
+      roots._real_clusters, which a real eigenvalue fails, M is the
+      product over the eigenvalues themselves. The computed eigenvalues
+      are the exact roots of a nearby polynomial Q~; with no root near
+      the axis Q~ has no real root, M is its exact factor, and a
+      complete cluster of close upper roots enters M whole, where its
+      coefficients are well-conditioned. At a complex root of
+      multiplicity 3 this M can differ from the cluster route's by
+      1e-10 or more relative, yet it reproduces Q to about 1e-14, where
+      the snapped triple root of the cluster route reproduces it only
+      to about 1e-9.
+    - cluster route: otherwise roots._root_clusters, whose ladder alone
+      decides real multiplicities, gives the centers, and each real
+      double root enters M once.
+
+    On both routes the product M conj(M(conj z)) must match Q within
+    TAU_FACTOR, relative to 1 plus its largest coefficient.
     """
     q = [complex(c) for c in q_coeffs]
     if not any(q):
@@ -87,16 +118,21 @@ def fejer_riesz_factor(q_coeffs) -> MFactor:
             "negative leading coefficient, polynomial is negative at "
             "infinity", leading=lc)
 
-    roots_m: list[complex] = []
-    for z, mult, _ in _root_clusters(q):
-        if z.imag > 0:
-            roots_m.extend([z] * mult)
-        else:
-            if mult % 2:
-                raise NumericalBreakdown(
-                    "odd real root multiplicity, polynomial changes sign",
-                    root=z.real, multiplicity=mult)
-            roots_m.extend([z] * (mult // 2))
+    radius = CLUSTER_RADII[0]
+    roots_m = _one_per_pair(_eigen_roots(q))
+    if all(2.0 * z.imag > radius * (1.0 + abs(z)) for z in roots_m):
+        roots_m.sort(key=lambda z: (z.real, z.imag))
+    else:
+        roots_m = []
+        for z, mult, _ in _root_clusters(q):
+            if z.imag > 0:
+                roots_m.extend([z] * mult)
+            else:
+                if mult % 2:
+                    raise NumericalBreakdown(
+                        "odd real root multiplicity, polynomial changes sign",
+                        root=z.real, multiplicity=mult)
+                roots_m.extend([z] * (mult // 2))
     m = [complex(math.sqrt(lc))]
     for r in roots_m:
         m = _mul(m, [-r, 1.0])
@@ -117,7 +153,8 @@ def check_l_identity(p1, p2, m_coeffs, z_samples,
     L = P1' conj(P1(conj .)) + P2' conj(P2(conj .)).
 
     Checked pointwise against a magnitude scale built from the
-    coefficient sizes; returns False as soon as one sample fails.
+    coefficient sizes; returns False as soon as one sample fails. A NaN
+    or negative rel_tol is a ValueError.
 
     The identity holds when P2 = 0 but not in general: P1 = 1, P2 = z
     give Q = 1 + z^2 and M = z - i, so z L = z^2 while
@@ -125,6 +162,7 @@ def check_l_identity(p1, p2, m_coeffs, z_samples,
     L + L^c = Q' = N + N^c with N = M' conj(M(conj .)), since both
     sides are the derivative of Q.
     """
+    _check_setting("rel_tol", rel_tol)
     p1, p2, m = ([complex(c) for c in a] for a in (p1, p2, m_coeffs))
     d1, d2, dm = (_derivative(a) or [0j] for a in (p1, p2, m))
     c1, c2, cm = ([c.conjugate() for c in a] for a in (p1, p2, m))

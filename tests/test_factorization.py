@@ -346,15 +346,104 @@ def fejer_riesz_from_the_full_list(q):
     return MFactor(tuple(m), residual)
 
 
-def test_factor_reads_the_upper_half_plane_as_the_full_list_did():
+def count_cluster_calls(monkeypatch) -> list:
+    """Patch factorization._root_clusters to log each call's input."""
+    calls = []
+    kernel = factorization._root_clusters
+
+    def root_clusters(coeffs):
+        calls.append(coeffs)
+        return kernel(coeffs)
+
+    monkeypatch.setattr(factorization, "_root_clusters", root_clusters)
+    return calls
+
+
+def test_factor_reads_the_upper_half_plane_as_the_full_list_did(monkeypatch):
+    # a draw with a real double root takes the cluster route, which
+    # reads the full list's roots bit for bit; the others take the
+    # eigenvalue route, a product over the unpolished eigenvalues
+    calls = count_cluster_calls(monkeypatch)
     rng = random.Random(1506)
+    off_axis, worst = 0, 0.0
     for _ in range(200):
         roots = []
         for _ in range(rng.randint(0, 2)):
             roots += [complex(rng.uniform(-2, 2))] * 2
+        has_real = bool(roots)
         for _ in range(rng.randint(1 if not roots else 0, 2)):
             z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
             roots += [z, z.conjugate()] * rng.choice([1, 2])
         q = (rng.uniform(0.5, 2) * np.real(npp.polyfromroots(roots))).tolist()
+        before = len(calls)
+        got, want = fejer_riesz_factor(q), fejer_riesz_from_the_full_list(q)
+        assert len(calls) - before == has_real
+        if has_real:
+            assert repr(got) == repr(want)
+            continue
+        off_axis += 1
+        m = np.asarray(got.m_coeffs)
+        gap = np.max(np.abs(m - np.asarray(want.m_coeffs)))
+        assert gap <= 1e-11 * (1.0 + np.max(np.abs(m)))
+        worst = max(worst, gap / (1.0 + np.max(np.abs(m))))
+    assert off_axis >= 60 and worst > 0.0
+
+
+@pytest.mark.parametrize("mult", [1, 2, 3])
+def test_eigenvalue_route_reproduces_complex_clusters(monkeypatch, mult):
+    # clusters of multiplicity 1 to 3 off the axis: the product over the
+    # unpolished eigenvalues reproduces Q to rounding, where a snapped
+    # multiple root would reproduce it only to the root's scatter
+    calls = count_cluster_calls(monkeypatch)
+    rng = random.Random(f"clusters:{mult}")
+    for _ in range(40):
+        roots = []
+        for _ in range(rng.randint(1, 2)):
+            z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
+            roots += [z, z.conjugate()] * mult
+        q = (rng.uniform(0.5, 2) * np.real(npp.polyfromroots(roots))).tolist()
+        m = fejer_riesz_factor(q)
+        assert m.degree == len(roots) // 2
+        # the residual is already relative to 1 + max |q|
+        assert m.residual <= 1e-12
+    assert calls == []
+
+
+@pytest.mark.parametrize("q, message", [
+    # (z - 1)^2 (z^2 + 1): a real double root
+    ([1.0, -2.0, 2.0, -2.0, 1.0], None),
+    # z^2 (z^2 + 1): a zero root, from the zero constant term
+    ([0.0, 0.0, 1.0, 0.0, 1.0], None),
+    # z^4 - z: real roots of odd multiplicity
+    ([0.0, -1.0, 0.0, 0.0, 1.0],
+     "odd real root multiplicity, polynomial changes sign"),
+])
+def test_roots_on_the_axis_take_the_cluster_route(monkeypatch, q, message):
+    calls = count_cluster_calls(monkeypatch)
+    if message is None:
         assert repr(fejer_riesz_factor(q)) == repr(
             fejer_riesz_from_the_full_list(q))
+    else:
+        with pytest.raises(NumericalBreakdown) as ex:
+            fejer_riesz_factor(q)
+        assert str(ex.value) == message
+        with pytest.raises(NumericalBreakdown) as want:
+            fejer_riesz_from_the_full_list(q)
+        assert repr(ex.value.info) == repr(want.value.info)
+    assert calls == [q]
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, -1.0, -1e-300])
+def test_l_identity_rejects_a_nan_or_negative_tolerance(rel_tol):
+    # the README quadratic's factor on C(i) fails the identity at the
+    # default tolerance; a NaN tolerance read it as holding
+    p = QPoly([J, I, Quaternion(0.5)])
+    sp = restrict_to_slice(p, I)
+    m = fejer_riesz_factor(slice_symmetrization(sp))
+    zs = sample_ring(random.Random(3), 100)
+    assert not check_l_identity(sp.p1, sp.p2, m.m_coeffs, zs)
+    with pytest.raises(ValueError) as ex:
+        check_l_identity(sp.p1, sp.p2, m.m_coeffs, zs, rel_tol)
+    assert str(ex.value) == \
+        f"rel_tol must be a number >= 0, got {rel_tol!r}"
+    assert check_l_identity(sp.p1, sp.p2, m.m_coeffs, zs, math.inf)

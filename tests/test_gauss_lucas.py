@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -492,3 +493,54 @@ def test_reports_are_identical_under_power_of_two_scaling():
         for m in (-200, -60, -30, 30, 60, 200):
             q = _scaled(p, m)
             assert (_outcome(report, q), _outcome(zero_set, q)) == want, m
+
+
+# ---------------------------------------------------------------------------
+# rotation: a rotation R of the imaginary 3-space is the automorphism
+# q -> u q u^-1 of H for a unit u, so P_R, with R applied to every
+# coefficient, has P_R(R q) = R P(q). Its zeros, critical points and
+# hull distances are those of P moved by R.
+
+
+def _signed_axis_rotations() -> list:
+    """The 24 signed permutation matrices of determinant +1, as
+    (perm, signs): axis k of the image is signs[k] times axis perm[k]."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        parity = sum(perm[i] > perm[j]
+                     for i in range(3) for j in range(i + 1, 3)) % 2
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            if (-1) ** parity * math.prod(signs) == 1:
+                out.append((perm, signs))
+    return out
+
+
+def _rotated(q: Quaternion, perm, signs) -> Quaternion:
+    v = (q.x, q.y, q.z)
+    return Quaternion(q.w, *(s * v[k] for s, k in zip(signs, perm)))
+
+
+def test_verdicts_and_distances_are_invariant_under_axis_rotations():
+    rotations = _signed_axis_rotations()
+    assert len(rotations) == 24 and len(set(rotations)) == 24
+    pairs = 0
+    for t in range(50):
+        p = random_factored_poly(random.Random(f"42:{t}"))
+        want = verify_gauss_lucas(p, 1e-6)
+        for perm, signs in rotations:
+            got = verify_gauss_lucas(
+                QPoly([_rotated(c, perm, signs) for c in p.coeffs]), 1e-6)
+            assert got.verified == want.verified
+            assert len(got.checks) == len(want.checks)
+            for c in want.checks:
+                # a critical sphere is checked at x + iy, which R fixes
+                at = (c.point if c.kind == "sphere"
+                      else _rotated(c.point, perm, signs))
+                match = min(got.checks, key=lambda g: (g.point - at).norm())
+                assert (match.point - at).norm() <= 1e-9 * (1.0 + at.norm())
+                assert (match.kind, match.inside) == (c.kind, c.inside)
+                if not c.inside:
+                    d, e = c.violation.distance, match.violation.distance
+                    assert abs(d - e) <= 1e-9 * d
+                pairs += 1
+    assert pairs >= 3000

@@ -807,7 +807,8 @@ def test_real_zero_set_checks_the_residuals_against_tau_zero():
 
 def test_root_kernel_receives_float_lists_only(monkeypatch, capsys):
     # P^s, a real p and the slice polynomial Q of fejer_riesz_factor all
-    # reach _root_clusters as lists of Python floats
+    # reach _root_clusters, and Q reaches _eigen_roots, as lists of
+    # Python floats
     from qlucas import factorization
     from qlucas.cli import main
     from qlucas.gauss_lucas import (
@@ -816,31 +817,35 @@ def test_root_kernel_receives_float_lists_only(monkeypatch, capsys):
 
     calls = Counter()
 
-    def guarded(module):
-        kernel = module._root_clusters
+    def guarded(module, name):
+        kernel = getattr(module, name)
 
-        def root_clusters(coeffs):
+        def root_kernel(coeffs):
             assert all(type(a) is float for a in coeffs), coeffs
-            calls[module.__name__] += 1
+            calls[module.__name__, name] += 1
             return kernel(coeffs)
 
-        monkeypatch.setattr(module, "_root_clusters", root_clusters)
+        monkeypatch.setattr(module, name, root_kernel)
 
-    guarded(roots_mod)
-    guarded(factorization)
+    guarded(roots_mod, "_root_clusters")
+    guarded(factorization, "_root_clusters")
+    guarded(factorization, "_eigen_roots")
     readme = json.loads((Path(__file__).parent / "data"
                          / "readme_examples.json").read_text())
     for case in readme:
         assert main(list(case["argv"])) == case["exit"]
     capsys.readouterr()
-    assert calls["qlucas.factorization"] == sum(
+    assert calls["qlucas.factorization", "_eigen_roots"] == sum(
         case["argv"][0] == "factor" for case in readme) >= 2
+    # the README quadratic's P^s has no root near the real axis, so
+    # both factor examples take the eigenvalue route
+    assert calls["qlucas.factorization", "_root_clusters"] == 0
     rep = run_verification_campaign(seed=42, trials=50, kind="factored")
     assert rep["verified"] + len(rep["failures"]) >= 45
     rng = random.Random(1305)
     for _ in range(20):
         verify_real_case(random_real_poly(rng))
-    assert calls["qlucas.roots"] >= 200
+    assert calls["qlucas.roots", "_root_clusters"] >= 200
 
 
 def test_zero_set_evaluates_each_candidate_sphere_once(monkeypatch):

@@ -8,6 +8,11 @@ with the program imported from this checkout's src, and prints the count,
 the number of breakdowns and the SHA-256 of the repr of every result, or
 of (type, message, info) for a breakdown. Two trees that print the same
 line gave the same outputs, bit for bit, on those inputs.
+
+When the results are dicts (own-hull), the line also holds one SHA-256
+per key, key=hex, over the repr of that key's value in every result, so
+a change that moves one stage shows which. A breakdown has no keys and
+enters only the count and the whole digest.
 """
 
 from __future__ import annotations
@@ -24,21 +29,30 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 
-def digest(workload: str, seed: int, count: int) -> tuple[int, str]:
-    """(breakdowns, hex SHA-256) over the outcomes of the inputs."""
+def digest(workload: str, seed: int, count: int) -> tuple[int, str, dict]:
+    """(breakdowns, hex SHA-256, {key: hex SHA-256}) over the outcomes
+    of the inputs; the dict is empty unless the results are dicts."""
     ql = run.load_program()
     operation = run.OPERATIONS[workload]
     sha = hashlib.sha256()
+    keyed = {}
     breakdowns = 0
     for coeffs in workloads.generate(workload, seed, count):
         try:
-            out = repr(operation(ql, coeffs))
+            result = operation(ql, coeffs)
         except (ql.NumericalBreakdown, ValueError) as ex:
             breakdowns += 1
             out = repr((type(ex).__name__, str(ex), getattr(ex, "info", None)))
+        else:
+            out = repr(result)
+            if isinstance(result, dict):
+                for key, value in result.items():
+                    keyed.setdefault(key, hashlib.sha256()).update(
+                        repr(value).encode() + b"\n")
         sha.update(out.encode())
         sha.update(b"\n")
-    return breakdowns, sha.hexdigest()
+    return (breakdowns, sha.hexdigest(),
+            {key: h.hexdigest() for key, h in keyed.items()})
 
 
 def main(argv=None) -> int:
@@ -48,9 +62,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--count", type=int, required=True)
     args = parser.parse_args(argv)
-    breakdowns, hexdigest = digest(args.workload, args.seed, args.count)
+    breakdowns, hexdigest, keyed = digest(args.workload, args.seed,
+                                          args.count)
+    per_key = "".join(f" {key}={h}" for key, h in keyed.items())
     print(f"{args.workload} seed={args.seed} count={args.count} "
-          f"breakdowns={breakdowns} sha256={hexdigest}")
+          f"breakdowns={breakdowns} sha256={hexdigest}{per_key}")
     return 0
 
 
