@@ -7,8 +7,9 @@ product M conj(M(conj z)) are returned as lists of floats.
 fejer_riesz_factor takes the eigenvalues of Q once. When none of them
 lies near the real axis, M is the product over the upper ones, with no
 clustering or polishing; otherwise the cluster ladder of
-roots._root_clusters decides the real multiplicities. Either way the
-product residual against Q is the acceptance test."""
+roots._root_clusters runs on those same eigenvalues and decides the
+real multiplicities. Either way the product residual against Q is the
+acceptance test."""
 
 from __future__ import annotations
 
@@ -18,10 +19,9 @@ from itertools import zip_longest
 
 from .qpoly import (SlicePoly, _derivative, _magnitude_scale, _symmetrized,
                     horner, trim_rel)
-from .roots import (NumericalBreakdown, _eigen_roots, _one_per_pair,
-                    _root_clusters)
-from .tolerances import (CLUSTER_RADII, TAU_FACTOR, TAU_L_IDENTITY,
-                         _check_setting)
+from .roots import (NumericalBreakdown, _clear_of_mirror, _clusters_from,
+                    _companion_roots)
+from .tolerances import TAU_FACTOR, TAU_L_IDENTITY, _check_setting
 
 
 def _mul(a, b) -> list:
@@ -70,24 +70,26 @@ def fejer_riesz_factor(q_coeffs) -> MFactor:
     part, however small, is a ValueError, and so is an inf or NaN.
 
     The roots come from the companion eigenvalues of Q, taken once
-    (roots._eigen_roots, one per conjugate pair by _one_per_pair), by
-    one of two routes:
+    (roots._companion_roots, one per conjugate pair), by one of two
+    routes:
 
-    - eigenvalue route: when every eigenvalue z has
-      2 Im z > CLUSTER_RADII[0] (1 + |z|), the mirror-link test of
-      roots._real_clusters, which a real eigenvalue fails, M is the
-      product over the eigenvalues themselves. The computed eigenvalues
-      are the exact roots of a nearby polynomial Q~; with no root near
-      the axis Q~ has no real root, M is its exact factor, and a
+    - eigenvalue route: when every eigenvalue is clear of its mirror
+      (roots._clear_of_mirror, the test roots._real_clusters applies,
+      which a real eigenvalue fails), M is the product over the
+      eigenvalues themselves. The computed eigenvalues are the exact
+      roots of a nearby polynomial Q~; with no root near the axis Q~
+      has no real root, M is its exact factor, and a
       complete cluster of close upper roots enters M whole, where its
       coefficients are well-conditioned. At a complex root of
       multiplicity 3 this M can differ from the cluster route's by
       1e-10 or more relative, yet it reproduces Q to about 1e-14, where
       the snapped triple root of the cluster route reproduces it only
       to about 1e-9.
-    - cluster route: otherwise roots._root_clusters, whose ladder alone
-      decides real multiplicities, gives the centers, and each real
-      double root enters M once.
+    - cluster route: otherwise roots._clusters_from, the rest of
+      roots._root_clusters, whose ladder alone decides real
+      multiplicities, gives the centers from the same eigenvalues, and
+      each real double root enters M once. This is the work
+      _root_clusters(Q) does, with no second eigenvalue solve.
 
     On both routes the product M conj(M(conj z)) must match Q within
     TAU_FACTOR, relative to 1 plus its largest coefficient.
@@ -118,13 +120,12 @@ def fejer_riesz_factor(q_coeffs) -> MFactor:
             "negative leading coefficient, polynomial is negative at "
             "infinity", leading=lc)
 
-    radius = CLUSTER_RADII[0]
-    roots_m = _one_per_pair(_eigen_roots(q))
-    if all(2.0 * z.imag > radius * (1.0 + abs(z)) for z in roots_m):
-        roots_m.sort(key=lambda z: (z.real, z.imag))
+    c, mags, raw = _companion_roots(q)
+    if all(map(_clear_of_mirror, raw)):
+        roots_m = sorted(raw, key=lambda z: (z.real, z.imag))
     else:
         roots_m = []
-        for z, mult, _ in _root_clusters(q):
+        for z, mult, _ in _clusters_from(c, mags, raw):
             if z.imag > 0:
                 roots_m.extend([z] * mult)
             else:

@@ -179,6 +179,13 @@ def _on_axis(z: complex) -> bool:
     return abs(z.imag) <= TAU_IM_SNAP * (1.0 + abs(z))
 
 
+def _clear_of_mirror(z: complex) -> bool:
+    """True when a root z with Im z >= 0 does not link to its own
+    mirror at CLUSTER_RADII[0]: |z - conj z| = 2 Im z exceeds
+    radius (1 + |z|). A real root never is."""
+    return 2.0 * z.imag > CLUSTER_RADII[0] * (1.0 + abs(z))
+
+
 def _mirror_linked(comp, radius: float) -> bool:
     """True when a component of the roots on the closed upper half-plane
     holds u and v (u = v allowed) with u linked to the mirror of v:
@@ -213,13 +220,12 @@ def _real_clusters(items, derivs):
     parts of neighbours exceeds _reach of the left one, _components
     stops each of its scans at the first neighbour, which is the same
     comparison of the same floats, and finds no edge; and a non-real
-    root u links to its mirror when |u - conj u| = 2 Im u is within
-    radius (1 + |u|). Only when the scan fails are the components
-    built."""
+    root u links to its mirror unless _clear_of_mirror(u). Only when
+    the scan fails are the components built."""
     radius = CLUSTER_RADII[0]
     left = None
     for z, _ in items:
-        if z.imag and 2.0 * z.imag <= radius * (1.0 + abs(z)):
+        if z.imag and not _clear_of_mirror(z):
             break
         if left is not None and z.real - left.real <= _reach(left, radius):
             break
@@ -265,13 +271,32 @@ def _root_clusters(coeffs: list[float]) -> list:
     Their magnitudes are taken once; the trim and the residual scale
     read them. The derivatives, Newton, validation and the residual run
     on the float list. A real root polishes in float arithmetic
-    (_newton) and its residual is the float Horner value."""
+    (_newton) and its residual is the float Horner value.
+
+    The work is split in two: _companion_roots reads and trims the
+    coefficients and takes the eigenvalues, _clusters_from clusters,
+    polishes and checks them, so a caller that needs the eigenvalues
+    first pays for them once."""
+    return _clusters_from(*_companion_roots(coeffs))
+
+
+def _companion_roots(coeffs: list[float]) -> tuple:
+    """(c, mags, raw) for _clusters_from: the coefficients read as
+    a + 0.0 and cut by _kept, their magnitudes, and the real eigenvalues
+    with the upper member of each conjugate pair (_one_per_pair of
+    _eigen_roots), in LAPACK's order."""
     c = [a + 0.0 for a in coeffs]
     mags = list(map(abs, c))
     deg = _kept(mags) - 1
     if deg < 1:
         raise ValueError("root finding needs degree >= 1 after trimming")
     del c[deg + 1:], mags[deg + 1:]
+    return c, mags, _one_per_pair(_eigen_roots(c))
+
+
+def _clusters_from(c: list[float], mags: list[float], raw: list) -> list:
+    """_root_clusters from the output of _companion_roots."""
+    deg = len(c) - 1
     derivs = _derivs(c)
 
     def residual(z):
@@ -279,7 +304,6 @@ def _root_clusters(coeffs: list[float]) -> list:
 
     found = []
     total = 0
-    raw = _one_per_pair(_eigen_roots(c))
     items = sorted(([z, 1] for z in raw), key=_order)
     for z, m in _real_clusters(items, derivs):
         real = _on_axis(z)

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 
-from qlucas import factorization
+from qlucas import factorization, roots
 from qlucas.factorization import (
     MFactor, check_l_identity, fejer_riesz_factor, slice_symmetrization,
 )
@@ -347,15 +347,16 @@ def fejer_riesz_from_the_full_list(q):
 
 
 def count_cluster_calls(monkeypatch) -> list:
-    """Patch factorization._root_clusters to log each call's input."""
+    """Patch factorization._clusters_from, the cluster route, to log
+    the coefficients of each call."""
     calls = []
-    kernel = factorization._root_clusters
+    kernel = factorization._clusters_from
 
-    def root_clusters(coeffs):
-        calls.append(coeffs)
-        return kernel(coeffs)
+    def clusters_from(c, mags, raw):
+        calls.append(c)
+        return kernel(c, mags, raw)
 
-    monkeypatch.setattr(factorization, "_root_clusters", root_clusters)
+    monkeypatch.setattr(factorization, "_clusters_from", clusters_from)
     return calls
 
 
@@ -419,18 +420,32 @@ def test_eigenvalue_route_reproduces_complex_clusters(monkeypatch, mult):
      "odd real root multiplicity, polynomial changes sign"),
 ])
 def test_roots_on_the_axis_take_the_cluster_route(monkeypatch, q, message):
+    # the cluster route reads the eigenvalues the route test took: one
+    # eigenvalue solve per call, as _root_clusters alone makes
     calls = count_cluster_calls(monkeypatch)
+    want_m = None
     if message is None:
-        assert repr(fejer_riesz_factor(q)) == repr(
-            fejer_riesz_from_the_full_list(q))
+        want_m = fejer_riesz_from_the_full_list(q)
+    else:
+        with pytest.raises(NumericalBreakdown) as want:
+            fejer_riesz_from_the_full_list(q)
+    solves = []
+    eigen_roots = roots._eigen_roots
+
+    def counted(c):
+        solves.append(c)
+        return eigen_roots(c)
+
+    monkeypatch.setattr(roots, "_eigen_roots", counted)
+    if message is None:
+        assert repr(fejer_riesz_factor(q)) == repr(want_m)
     else:
         with pytest.raises(NumericalBreakdown) as ex:
             fejer_riesz_factor(q)
         assert str(ex.value) == message
-        with pytest.raises(NumericalBreakdown) as want:
-            fejer_riesz_from_the_full_list(q)
         assert repr(ex.value.info) == repr(want.value.info)
     assert calls == [q]
+    assert solves == [q]
 
 
 @pytest.mark.parametrize("rel_tol", [math.nan, -1.0, -1e-300])

@@ -806,9 +806,10 @@ def test_real_zero_set_checks_the_residuals_against_tau_zero():
 
 
 def test_root_kernel_receives_float_lists_only(monkeypatch, capsys):
-    # P^s, a real p and the slice polynomial Q of fejer_riesz_factor all
-    # reach _root_clusters, and Q reaches _eigen_roots, as lists of
-    # Python floats
+    # P^s and a real p reach _root_clusters, and the slice polynomial Q
+    # of fejer_riesz_factor reaches _companion_roots and, on the cluster
+    # route, _clusters_from, as lists of Python floats; so does every
+    # companion that reaches _eigen_roots
     from qlucas import factorization
     from qlucas.cli import main
     from qlucas.gauss_lucas import (
@@ -820,26 +821,27 @@ def test_root_kernel_receives_float_lists_only(monkeypatch, capsys):
     def guarded(module, name):
         kernel = getattr(module, name)
 
-        def root_kernel(coeffs):
+        def root_kernel(coeffs, *rest):
             assert all(type(a) is float for a in coeffs), coeffs
             calls[module.__name__, name] += 1
-            return kernel(coeffs)
+            return kernel(coeffs, *rest)
 
         monkeypatch.setattr(module, name, root_kernel)
 
     guarded(roots_mod, "_root_clusters")
-    guarded(factorization, "_root_clusters")
-    guarded(factorization, "_eigen_roots")
+    guarded(roots_mod, "_eigen_roots")
+    guarded(factorization, "_companion_roots")
+    guarded(factorization, "_clusters_from")
     readme = json.loads((Path(__file__).parent / "data"
                          / "readme_examples.json").read_text())
     for case in readme:
         assert main(list(case["argv"])) == case["exit"]
     capsys.readouterr()
-    assert calls["qlucas.factorization", "_eigen_roots"] == sum(
+    assert calls["qlucas.factorization", "_companion_roots"] == sum(
         case["argv"][0] == "factor" for case in readme) >= 2
     # the README quadratic's P^s has no root near the real axis, so
     # both factor examples take the eigenvalue route
-    assert calls["qlucas.factorization", "_root_clusters"] == 0
+    assert calls["qlucas.factorization", "_clusters_from"] == 0
     rep = run_verification_campaign(seed=42, trials=50, kind="factored")
     assert rep["verified"] + len(rep["failures"]) >= 45
     rng = random.Random(1305)
