@@ -167,9 +167,11 @@ def check_l_identity(p1, p2, m_coeffs, z_samples,
     p1, p2, m = ([complex(c) for c in a] for a in (p1, p2, m_coeffs))
     d1, d2, dm = (_derivative(a) or [0j] for a in (p1, p2, m))
     c1, c2, cm = ([c.conjugate() for c in a] for a in (p1, p2, m))
+    a1, a2, am, ad1, ad2, adm = ([abs(c) for c in a]
+                                 for a in (p1, p2, m, d1, d2, dm))
 
-    def mag(coeffs, r):
-        return _magnitude_scale(map(abs, coeffs), max(1.0, r))
+    def mag(mags, r):
+        return _magnitude_scale(mags, max(1.0, r))
 
     for z in z_samples:
         z = complex(z)
@@ -177,8 +179,8 @@ def check_l_identity(p1, p2, m_coeffs, z_samples,
                    + horner(d2, z) * horner(c2, z))
         rhs = z * horner(dm, z) * horner(cm, z)
         r = abs(z)
-        scale = 1.0 + r * (mag(d1, r) * mag(p1, r) + mag(d2, r) * mag(p2, r)
-                           + mag(dm, r) * mag(m, r))
+        scale = 1.0 + r * (mag(ad1, r) * mag(a1, r) + mag(ad2, r) * mag(a2, r)
+                           + mag(adm, r) * mag(am, r))
         if abs(lhs - rhs) > rel_tol * scale:
             return False
     return True

@@ -11,7 +11,12 @@ Autom. 4(2), 1988) over the closed-form support map of points and
 spheres, with Wolfe's minor cycle (Math. Prog. 11, 1976) as the distance
 subalgorithm on at most five support points. No sphere is sampled. The
 kernel runs on 4-tuples of Python floats, not numpy arrays: at most four
-vectors in R^4 make numpy's fixed cost per call dominate.
+vectors in R^4 make numpy's fixed cost per call dominate. Its loops do
+the float operations of the plain GJK loop in that loop's order, and
+reduce by explicit accumulators, never over a temporary list, because
+tests pin the kernel's outputs bit for bit (tests/test_hull.py); a
+plain loop also sums alike on every Python, where sum() is compensated
+from 3.12 on.
 
 One-ball lemma. Write each zero sphere as x_s + y_s S, with S the unit
 sphere of the imaginary 3-space that every sphere spans, and give each
@@ -43,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quaternion import Quaternion, TwoSphere, _direction_parts
+from .quaternion import Quaternion, TwoSphere, _direction_parts, _norm4
 from .roots import NumericalBreakdown, ZeroSet
 from .tolerances import (EPS_HULL, TAU_FAN, TAU_GAP_REL, TAU_WEIGHT,
                          TAU_WEIGHT_SUM, ULP, _check_setting)
@@ -233,10 +238,6 @@ def _planar(pts: list[complex]):
 # exact 4-d machinery
 
 
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
-
-
 def _orthogonalize(v, basis):
     """v minus its projection on the orthonormal basis, Gram-Schmidt run
     twice, and the coefficients removed."""
@@ -270,19 +271,26 @@ def _factor(verts, carry=None):
         diffs, big, basis, rcols, kept = carry
         v0, v1, v2, v3 = verts[-1]
         d = d0, d1, d2, d3 = v0 - b0, v1 - b1, v2 - b2, v3 - b3
-        big = max(big, d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3)
+        dd = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+        if dd > big:
+            big = dd
         tol = 4.0 * ULP * math.sqrt(big)
-        if all(rc[-1] > tol for rc in rcols):
+        for rc in rcols:
+            if not rc[-1] > tol:
+                carry = None
+                break
+        else:
             start = len(diffs)
             diffs = diffs + [d]
             basis, rcols, kept = basis[:], rcols[:], kept[:]
-        else:
-            carry = None
     if carry is None:
-        diffs = [(v0 - b0, v1 - b1, v2 - b2, v3 - b3)
-                 for v0, v1, v2, v3 in verts[1:]]
-        big = max([d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
-                   for d0, d1, d2, d3 in diffs], default=0.0)
+        diffs, big = [], 0.0    # the first, or a larger later one
+        for v0, v1, v2, v3 in verts[1:]:
+            d0, d1, d2, d3 = v0 - b0, v1 - b1, v2 - b2, v3 - b3
+            dd = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+            if not diffs or dd > big:
+                big = dd
+            diffs.append((d0, d1, d2, d3))
         tol = 4.0 * ULP * math.sqrt(big)
         basis, rcols, kept = [], [], []
     for j in range(start, len(diffs)):
@@ -290,7 +298,8 @@ def _factor(verts, carry=None):
         r = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3)
         if r > tol:
             basis.append((v0 / r, v1 / r, v2 / r, v3 / r))
-            rcols.append(coef + [r])
+            coef.append(r)
+            rcols.append(coef)
             kept.append(j)
     return diffs, big, basis, rcols, kept
 
@@ -305,13 +314,20 @@ def _solve(base, fact):
     convergence."""
     diffs, _, basis, rcols, kept = fact
     b0, b1, b2, b3 = base
+    n = len(kept)
     mu = [0.0] * len(diffs)
-    for i in reversed(range(len(kept))):
-        s = sum([rcols[k][i] * mu[kept[k]] for k in range(i + 1, len(kept))])
+    for i in range(n - 1, -1, -1):
+        s = 0.0
+        for k in range(i + 1, n):
+            s += rcols[k][i] * mu[kept[k]]
         u0, u1, u2, u3 = basis[i]
         ub = u0 * b0 + u1 * b1 + u2 * b2 + u3 * b3
         mu[kept[i]] = (-ub - s) / rcols[i][i]
-    return [1.0 - sum(mu)] + mu
+    s = 0.0
+    for m in mu:
+        s += m
+    mu.insert(0, 1.0 - s)
+    return mu
 
 
 def _wolfe(verts, lam, carry=None):
@@ -331,13 +347,26 @@ def _wolfe(verts, lam, carry=None):
         if min(mu) > 0.0:
             return keep, mu, fact
         # the first smallest step lam -> mu that zeroes a weight,
-        # lam >= 0 >= mu on the candidates
-        t, drop = min((l / (l - m) if l > m else 0.0, i)
-                      for i, (l, m) in enumerate(zip(lam, mu)) if m <= 0.0)
-        lam = [l + t * (m - l) for l, m in zip(lam, mu)]
-        alive = [i for i, l in enumerate(lam) if l > 0.0 and i != drop]
-        tot = sum([lam[i] for i in alive])
-        keep, lam = [keep[i] for i in alive], [lam[i] / tot for i in alive]
+        # lam >= 0 >= mu on the candidates; as under min(), a later tie
+        # or NaN never replaces the first
+        drop = None
+        for i, (l, m) in enumerate(zip(lam, mu)):
+            if m <= 0.0:
+                s = l / (l - m) if l > m else 0.0
+                if drop is None or s < t:
+                    t, drop = s, i
+        if drop is None:
+            raise NumericalBreakdown(
+                "hull membership: Wolfe's cycle has no weight to drop",
+                weights=mu)
+        alive, weights, tot = [], [], 0.0
+        for i, (l, m) in enumerate(zip(lam, mu)):
+            l += t * (m - l)
+            if l > 0.0 and i != drop:
+                alive.append(keep[i])
+                weights.append(l)
+                tot += l
+        keep, lam = alive, [l / tot for l in weights]
         fact = _factor([verts[i] for i in keep])
 
 
@@ -369,12 +398,15 @@ def _support(d, pts, spheres, q):
         if best is None or val < best:
             best, found = val, (g, t, o)
     if spheres:
-        u = _direction(d1, d2, d3)
+        # _sphere_point, with the tuples built for the winner alone
+        u1, u2, u3 = _direction(d1, d2, d3)
+        q0, q1, q2, q3 = q
         for g, (x, y) in enumerate(spheres, len(pts)):
-            t, o = _sphere_point(x, y, u, q)
-            val = d0 * t[0] + d1 * t[1] + d2 * t[2] + d3 * t[3]
+            o1, o2, o3 = u1 * y, u2 * y, u3 * y
+            t0, t1, t2, t3 = x - q0, o1 - q1, o2 - q2, o3 - q3
+            val = d0 * t0 + d1 * t1 + d2 * t2 + d3 * t3
             if best is None or val < best:
-                best, found = val, (g, t, o)
+                best, found = val, (g, (t0, t1, t2, t3), (x, o1, o2, o3))
     return found
 
 
@@ -422,12 +454,19 @@ def _newton(cen, lam):
     m = len(cols)
     # the upper triangle of the Hessian, the gradient on its right, both
     # halved; symmetric Gaussian elimination, as in a Cholesky solve
-    rows = [[pi * pj + si * sj
-             + kappa * (di1 * dj1 + di2 * dj2 + di3 * dj3 - ti * tj)
-             for pj, sj, dj1, dj2, dj3, tj in cols[i:]]
-            + [a0 * pi + delta * si]
-            for i, (pi, si, di1, di2, di3, ti) in enumerate(cols)]
-    tol = 4.0 * ULP * max([row[0] for row in rows], default=0.0)
+    rows, big = [], 0.0
+    for i, (pi, si, di1, di2, di3, ti) in enumerate(cols):
+        row = []
+        for j in range(i, m):
+            pj, sj, dj1, dj2, dj3, tj = cols[j]
+            row.append(pi * pj + si * sj
+                       + kappa * (di1 * dj1 + di2 * dj2 + di3 * dj3 - ti * tj))
+        row.append(a0 * pi + delta * si)
+        rows.append(row)
+        # the largest diagonal entry: the first unless a later is larger
+        if i == 0 or row[0] > big:
+            big = row[0]
+    tol = 4.0 * ULP * big
     for i in range(m):
         ri = rows[i]
         piv = ri[0]
@@ -439,19 +478,25 @@ def _newton(cen, lam):
             for k in range(j, m + 1):
                 rj[k - j] -= f * ri[k - i]
     step = [0.0] * m
-    for i in reversed(range(m)):
+    for i in range(m - 1, -1, -1):
         ri = rows[i]
-        step[i] = -(ri[-1] + sum([ri[k - i] * step[k]
-                                  for k in range(i + 1, m)])) / ri[0]
-    lam = [lam[0] - sum(step)] + [l + s for l, s in zip(lam[1:], step)]
-    if min(lam) < 0.0:
+        s = 0.0
+        for k in range(i + 1, m):
+            s += ri[k - i] * step[k]
+        step[i] = -(ri[-1] + s) / ri[0]
+    new, tot = [lam[0]], 0.0
+    for j in range(m):
+        tot += step[j]
+        new.append(lam[j + 1] + step[j])
+    new[0] -= tot
+    if min(new) < 0.0:
         return None
-    a0, a1, a2, a3, rho, av = _ball(cen, lam)
+    a0, a1, a2, a3, rho, av = _ball(cen, new)
     if not av > rho:
         return None
     f = rho / av
     x = (a0, a1 - f * a1, a2 - f * a2, a3 - f * a3)
-    return (lam, x, x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3],
+    return (new, x, x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3],
             (a1 / av, a2 / av, a3 / av))
 
 
@@ -478,6 +523,9 @@ def _membership(q: Quaternion, points: list[Quaternion],
     vertex per generator of positive weight, each sphere [x + Iy] at
     its support point x - y n, n the direction of Im x."""
     qn = q.norm()
+    if not math.isfinite(qn):
+        raise ValueError(f"hull membership needs a query of finite norm, "
+                         f"got {q!r}")
     eps = eps_hull * (1.0 + qn)
     qt = qw, qx, qy, qz = q.w, q.x, q.y, q.z
     pts = [((p.w - qw, p.x - qx, p.y - qy, p.z - qz), (p.w, p.x, p.y, p.z))
@@ -489,8 +537,9 @@ def _membership(q: Quaternion, points: list[Quaternion],
     # the support point in the direction of the shifted centre
     u = _direction(-qx, -qy, -qz)
     best = None
-    for g, (t, o) in enumerate(pts + [_sphere_point(x, y, u, qt)
-                                      for x, y in sph]):
+    npts = len(pts)
+    for g in range(npts + len(sph)):
+        t, o = pts[g] if g < npts else _sphere_point(*sph[g - npts], u, qt)
         tt = t[0] * t[0] + t[1] * t[1] + t[2] * t[2] + t[3] * t[3]
         if best is None or tt < nn:
             best, nn, x, orig = g, tt, t, o
@@ -506,14 +555,16 @@ def _membership(q: Quaternion, points: list[Quaternion],
                 a1 += l * o1
                 a2 += l * o2
                 a3 += l * o3
-            slack = Quaternion(a0 - qw, a1 - qx, a2 - qy, a3 - qz).norm()
+            slack = _norm4(a0 - qw, a1 - qx, a2 - qy, a3 - qz)
             if slack <= eps:
                 return HullCertificate(tuple([Quaternion(*o) for o in origs]),
                                        tuple(weights), slack)
         gw, w, orig = _support(x, pts, sph, qt)
         if upper > 0.0:
-            lower = max(lower, (x[0] * w[0] + x[1] * w[1] + x[2] * w[2]
-                                + x[3] * w[3]) / upper)
+            low = (x[0] * w[0] + x[1] * w[1] + x[2] * w[2]
+                   + x[3] * w[3]) / upper
+            if low > lower:
+                lower = low
         if lower > eps:
             if gap is None:
                 gap = TAU_GAP_REL * _scale(qn, points, spheres)
@@ -523,12 +574,15 @@ def _membership(q: Quaternion, points: list[Quaternion],
             if upper - lower <= gap:
                 return Outside(upper)
             ids, lam = [], []
-            for g, l in zip(gens + [gw], weights + [0.0]):
+            for g, l in zip(gens, weights):
                 if g in ids:
                     lam[ids.index(g)] += l
                 else:
                     ids.append(g)
                     lam.append(l)
+            if gw not in ids:   # joined at weight 0
+                ids.append(gw)
+                lam.append(0.0)
             face = [cen[g] for g in ids]
             unit = None
             for _ in range(_MAX_ITER):
@@ -543,8 +597,8 @@ def _membership(q: Quaternion, points: list[Quaternion],
                     if l > 0.0:
                         verts.append((c0, c1 - y * n1, c2 - y * n2,
                                       c3 - y * n3))
-                        origs.append(pts[g][1] if g < len(pts) else
-                                     (sph[g - len(pts)][0], -y * n1,
+                        origs.append(pts[g][1] if g < npts else
+                                     (sph[g - npts][0], -y * n1,
                                       -y * n2, -y * n3))
                         gens.append(g)
                         weights.append(l)
@@ -559,24 +613,41 @@ def _membership(q: Quaternion, points: list[Quaternion],
             # on a facet, take the direction of x from the facet normal,
             # which the differences of its vertices fix far more finely
             # than rounding leaves x itself once |x| is small: the axis
-            # the facet's basis covers least, orthogonalized against it
+            # the facet's basis covers least, the first of equals,
+            # orthogonalized against it
             basis = fact[2]
-            k = min(range(4), key=lambda c: sum(u[c] * u[c] for u in basis))
-            normal, _ = _orthogonalize([float(c == k) for c in range(4)],
-                                       basis)
-            h = _dot(normal, face[0]) / _dot(normal, normal)
-            x_new = [h * a for a in normal]
+            for c in range(4):
+                cover = 0.0
+                for v in basis:
+                    cover += v[c] * v[c]
+                if c == 0 or cover < least:
+                    k, least = c, cover
+            axis = [0.0] * 4
+            axis[k] = 1.0
+            (n0, n1, n2, n3), _ = _orthogonalize(axis, basis)
+            f0, f1, f2, f3 = face[0]
+            h = ((n0 * f0 + n1 * f1 + n2 * f2 + n3 * f3)
+                 / (n0 * n0 + n1 * n1 + n2 * n2 + n3 * n3))
+            x_new = h * n0, h * n1, h * n2, h * n3
         else:
-            x_new = [sum([l * v[c] for l, v in zip(lam, face)])
-                     for c in range(4)]
-        nn_new = _dot(x_new, x_new)
+            a0 = a1 = a2 = a3 = 0.0
+            for l, (v0, v1, v2, v3) in zip(lam, face):
+                a0 += l * v0
+                a1 += l * v1
+                a2 += l * v2
+                a3 += l * v3
+            x_new = a0, a1, a2, a3
+        a0, a1, a2, a3 = x_new
+        nn_new = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
         if not nn_new < nn:
             break       # no progress left at this precision
         verts, weights, x, nn, carry = face, lam, x_new, nn_new, fact
         origs.append(orig)
         gens.append(gw)
-        origs = [origs[i] for i in keep]
-        gens = [gens[i] for i in keep]
+        if len(keep) < len(cand):
+            # Wolfe's cycle dropped a vertex
+            origs = [origs[i] for i in keep]
+            gens = [gens[i] for i in keep]
     # the bracket closes no further: far below the scale of the problem,
     # rounding in the direction of x bounds how tight the plane can be
     if lower > eps:
@@ -629,7 +700,11 @@ def slice_route(zs: ZeroSet, eps_hull: float = EPS_HULL):
 
     def member(q: Quaternion):
         zq = complex(q.w, q.im_norm())
-        res = planar(zq, eps_hull * (1.0 + abs(zq)))
+        qn = abs(zq)
+        if not math.isfinite(qn):
+            raise ValueError(f"hull membership needs a query of finite "
+                             f"norm, got {q!r}")
+        res = planar(zq, eps_hull * (1.0 + qn))
         if isinstance(res, Outside):
             return res
         uw, ux, uy, uz = _direction_parts(q.x, q.y, q.z)

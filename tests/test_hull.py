@@ -705,6 +705,55 @@ def test_kernel_matches_the_plain_gjk_loop():
     assert outside >= 200 and inside >= 200
 
 
+# golden pin of the 4-d kernel
+#
+# tests/data/hull_golden.json holds the queries of
+# test_kernel_matches_the_plain_gjk_loop, each as its query, points and
+# spheres in floats, with the repr of the kernel's result or breakdown at
+# the collars 1e-8 and 1e-6. Unlike that test, which lets an Outside
+# distance move within TAU_GAP_REL, the pin asks for every certificate,
+# distance and breakdown bit for bit. The inputs are stored with the
+# results, so the pin does not move when the code that built them does.
+# Rebuild the file, after a change that is meant to move the kernel's
+# outputs, with
+#
+#     PYTHONPATH=src python tests/test_hull.py
+
+GOLDEN_HULL = Path(__file__).parent / "data" / "hull_golden.json"
+_GOLDEN_COLLARS = (1e-8, 1e-6)
+
+
+def _golden_verdicts(case) -> list:
+    q = Quaternion(*case["query"])
+    points = [Quaternion(*p) for p in case["points"]]
+    spheres = [TwoSphere(*s) for s in case["spheres"]]
+    return [repr(verdict(hull._membership, q, points, spheres, eps_hull))
+            for eps_hull in _GOLDEN_COLLARS]
+
+
+def write_golden_hull() -> int:
+    cases = [{"query": q.to_list(),
+              "points": [p.to_list() for p in points],
+              "spheres": [[float(s.x), float(s.y)] for s in spheres]}
+             for q, points, spheres in (seeded_hull_queries(101, 400)
+                                        + own_hull_queries(105, 40))]
+    for case in cases:
+        case["verdicts"] = _golden_verdicts(case)
+    GOLDEN_HULL.write_text(json.dumps(cases, indent=0) + "\n")
+    return len(cases)
+
+
+def test_4d_kernel_matches_the_golden_pin():
+    cases = json.loads(GOLDEN_HULL.read_text())
+    assert len(cases) > 440
+    kinds = set()
+    for n, case in enumerate(cases):
+        got = _golden_verdicts(case)
+        assert got == case["verdicts"], n
+        kinds.update(v.split("(", 1)[0] for v in got)
+    assert {"HullCertificate", "Outside"} <= kinds
+
+
 def own_hull_queries(seed, count):
     """(query, points, spheres) for the critical points of count products
     of 1-3 linear factors and one zero sphere, as in the own-hull
@@ -890,3 +939,23 @@ def test_certificate_json_shapes():
     out = hull_membership_slice(Quaternion(2.0), zs, 1e-9)
     od = out.to_json_dict()
     assert od["distance"] == pytest.approx(1.0, abs=1e-9, rel=0)
+
+
+@pytest.mark.parametrize("part", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("coeffs", [[-1.0, 0.0, 1.0],     # planar route
+                                    [J, I, Quaternion(0.5)]])  # 4-d route
+def test_a_non_finite_query_is_a_value_error(part, coeffs):
+    # an infinite |q| widens the collar eps_hull (1 + |q|) to infinity,
+    # which would certify the query; a NaN has no verdict at all
+    zs = make_zero_set(coeffs)
+    member = hull.slice_route(zs, 1e-9)
+    for q in (Quaternion(part), Quaternion(0.0, 0.0, part, 0.0),
+              Quaternion(1.0, part, part, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            hull_membership_slice(q, zs, 1e-9)
+        with pytest.raises(ValueError, match="finite"):
+            member(q)
+
+
+if __name__ == "__main__":
+    print(write_golden_hull(), "cases written to", GOLDEN_HULL)
