@@ -167,20 +167,20 @@ def check_l_identity(p1, p2, m_coeffs, z_samples,
     p1, p2, m = ([complex(c) for c in a] for a in (p1, p2, m_coeffs))
     d1, d2, dm = (_derivative(a) or [0j] for a in (p1, p2, m))
     c1, c2, cm = ([c.conjugate() for c in a] for a in (p1, p2, m))
-    a1, a2, am, ad1, ad2, adm = ([abs(c) for c in a]
-                                 for a in (p1, p2, m, d1, d2, dm))
-
-    def mag(mags, r):
-        return _magnitude_scale(mags, max(1.0, r))
-
+    # the magnitudes once, not per sample
+    a1, a2, am, ad1, ad2, adm = [list(map(abs, a))
+                                 for a in (p1, p2, m, d1, d2, dm)]
+    mag = _magnitude_scale
     for z in z_samples:
         z = complex(z)
         lhs = z * (horner(d1, z) * horner(c1, z)
                    + horner(d2, z) * horner(c2, z))
         rhs = z * horner(dm, z) * horner(cm, z)
         r = abs(z)
-        scale = 1.0 + r * (mag(ad1, r) * mag(a1, r) + mag(ad2, r) * mag(a2, r)
-                           + mag(adm, r) * mag(am, r))
+        base = max(1.0, r)
+        scale = 1.0 + r * (mag(ad1, base) * mag(a1, base)
+                           + mag(ad2, base) * mag(a2, base)
+                           + mag(adm, base) * mag(am, base))
         if abs(lhs - rhs) > rel_tol * scale:
             return False
     return True

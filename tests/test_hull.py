@@ -942,8 +942,8 @@ def test_certificate_json_shapes():
 
 
 @pytest.mark.parametrize("part", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("coeffs", [[-1.0, 0.0, 1.0],     # planar route
-                                    [J, I, Quaternion(0.5)]])  # 4-d route
+@pytest.mark.parametrize("coeffs", [[-1.0, 0.0, 1.0], [J, I, Quaternion(0.5)]],
+                         ids=["planar", "4-d"])
 def test_a_non_finite_query_is_a_value_error(part, coeffs):
     # an infinite |q| widens the collar eps_hull (1 + |q|) to infinity,
     # which would certify the query; a NaN has no verdict at all
